@@ -149,9 +149,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(f"cannot read grid {args.grid}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"grid {args.grid} is not valid JSON: {exc}") from exc
-    results = sim.sweep(
-        trace, catalog, grid, jobs=args.jobs, scheduler_overhead_s=args.overhead
-    )
+    results = sim.sweep(trace, catalog, grid, scheduler_overhead_s=args.overhead)
     sim.write_sweep_csv(results, args.out)
     summary = sim.sweep_correlations(results)
     summary_path = args.summary or f"{args.out}.summary.json"
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="JSON mapping parameter -> list of values")
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--summary", help="correlation summary JSON (default <out>.summary.json)")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent runs (default 1)")
     p.add_argument("--overhead", type=float, default=sim.DEFAULT_OVERHEAD_S)
     p.set_defaults(func=_cmd_sweep)
 

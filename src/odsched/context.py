@@ -107,7 +107,7 @@ def _resample_nearest(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     h, w = pixels.shape
     rows = np.minimum(((np.arange(out_h) + 0.5) * h / out_h).astype(int), h - 1)
     cols = np.minimum(((np.arange(out_w) + 0.5) * w / out_w).astype(int), w - 1)
-    return pixels[np.ix_(rows, cols)]
+    return pixels.take(rows, 0).take(cols, 1)
 
 
 def bbox_similarity(

@@ -165,6 +165,8 @@ class SchedulerState:
         catalog: Catalog,
         prediction_map: PredictionMap,
         config: SchedulerConfig | None = None,
+        *,
+        memo: dict[tuple, float] | None = None,
     ) -> None:
         self.catalog = catalog
         self.prediction_map = prediction_map
@@ -172,8 +174,15 @@ class SchedulerState:
         self.costs = normalize_costs(catalog)
         self.buffers: dict[ModelId, deque[float]] = {}
         self.current_pair: Pair | None = None
-        self._last_frame: FrameStats | None = None
+        # Frame and box NCC terms keyed by what they compare, shared by every
+        # state replaying the same trace.  Without one, each call gets a
+        # throwaway dict, so a long stream accumulates nothing.
+        self.memo = memo
+        # The last frame seen, its own detection, and its FrameStats when the
+        # last call computed them (None after a memo hit).
+        self._last_image: GrayscaleImage | None = None
         self._last_box: BoundingBox | None = None
+        self._last_stats: FrameStats | None = None
 
     def bootstrap(self) -> Decision:
         """Choose the starting pair before the first frame.
@@ -196,6 +205,33 @@ class SchedulerState:
             scores=scores,
             predictions=tuple(seeds),
         )
+
+    def _context(self, frame: GrayscaleImage, box: BoundingBox | None) -> float:
+        """min(frame NCC, box NCC) of `frame` against the last frame, then
+        make `frame` and `box` the last ones."""
+        prev, prev_box, prev_stats = self._last_image, self._last_box, self._last_stats
+        cur_stats = None
+        if prev is None:
+            sim_score = 0.0
+        else:
+            memo = self.memo if self.memo is not None else {}
+            key: tuple = (prev, frame)
+            frame_term = memo.get(key)
+            if frame_term is None:
+                cur_stats = FrameStats(frame)
+                if prev_stats is None:
+                    prev_stats = FrameStats(prev)
+                frame_term = memo[key] = ncc_cached(prev_stats, cur_stats)
+            if box is None or prev_box is None:
+                box_term = 0.0
+            else:
+                key = (prev, frame, prev_box, box)
+                box_term = memo.get(key)
+                if box_term is None:
+                    box_term = memo[key] = bbox_similarity(prev, prev_box, frame, box)
+            sim_score = min(frame_term, box_term)
+        self._last_image, self._last_box, self._last_stats = frame, box, cur_stats
+        return sim_score
 
     def _select(
         self, predictions: tuple[Prediction, ...]
@@ -233,25 +269,9 @@ def schedule(
     if not (0.0 <= confidence <= 1.0):
         raise ValueError(f"confidence {confidence} outside [0, 1]")
     cfg = state.config
-    cur = FrameStats(frame) if frame is not None else None
-
-    if state._last_frame is None or cur is None:
-        sim_score = 0.0
-    else:
-        frame_term = ncc_cached(state._last_frame, cur)
-        if box is None or state._last_box is None:
-            box_term = 0.0
-        else:
-            box_term = bbox_similarity(
-                state._last_frame.image, state._last_box, cur.image, box
-            )
-        sim_score = min(frame_term, box_term)
-
-    # The next call compares against this frame and detection, whichever
-    # branch we take below.
-    if cur is not None:
-        state._last_frame = cur
-    state._last_box = box
+    # A call without a frame scores 0 and leaves the last frame and its own
+    # box in place for the next call to compare against.
+    sim_score = 0.0 if frame is None else state._context(frame, box)
 
     if sim_score * confidence >= cfg.accuracy_threshold:
         state.current_pair = pair

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -239,11 +238,25 @@ def run(
     prefill: bool = False,
 ) -> SimulationReport:
     """Replay the trace under `policy` and aggregate the report."""
+    return _run(
+        trace, catalog, policy, scheduler_overhead_s, prediction_map, prefill, None
+    )
+
+
+def _run(
+    trace: CharacterizationTrace,
+    catalog: Catalog,
+    policy: Policy,
+    overhead_s: float,
+    prediction_map: PredictionMap | None,
+    prefill: bool,
+    memo: dict[tuple, float] | None,
+) -> SimulationReport:
     if len(trace) == 0:
         raise ValueError("empty trace")
     if policy.kind == "shift":
         per_frame, config = _run_shift(
-            trace, catalog, policy, scheduler_overhead_s, prediction_map, prefill
+            trace, catalog, policy, overhead_s, prediction_map, prefill, memo
         )
     elif policy.kind == "single":
         per_frame, config = _run_single(trace, catalog, policy), None
@@ -265,6 +278,7 @@ def _run_shift(
     overhead_s: float,
     prediction_map: PredictionMap | None,
     prefill: bool,
+    memo: dict[tuple, float] | None,
 ) -> tuple[list[FrameResult], SchedulerConfig]:
     config = policy.config if policy.config is not None else SchedulerConfig()
     pm = prediction_map
@@ -272,7 +286,7 @@ def _run_shift(
         pm = build_prediction_map(
             trace, config.bucket_width, config.distance_threshold
         )
-    state = SchedulerState(catalog, pm, config)
+    state = SchedulerState(catalog, pm, config, memo=memo)
     memories = {
         name: AcceleratorMemory(name, acc.memory_bytes)
         for name, acc in catalog.accelerators.items()
@@ -437,10 +451,14 @@ def sweep(
     catalog: Catalog,
     grid: Mapping[str, Sequence],
     *,
-    jobs: int = 1,
     scheduler_overhead_s: float = DEFAULT_OVERHEAD_S,
 ) -> list[tuple[SchedulerConfig, SimulationReport]]:
-    """One shift run per grid configuration, in deterministic order."""
+    """One shift run per grid configuration, in deterministic order.
+
+    Context similarity depends only on the frames and boxes compared, not on
+    the configuration, so every run shares one memo of it; the memo lives
+    only as long as this call.
+    """
     configs = expand_grid(grid)
     # Prediction maps depend only on (bucket_width, distance_threshold);
     # build each needed combination once, up front.
@@ -450,21 +468,15 @@ def sweep(
         if key not in maps:
             maps[key] = build_prediction_map(trace, *key)
 
-    def one(cfg: SchedulerConfig) -> SimulationReport:
-        return run(
-            trace,
-            catalog,
-            Policy.shift(cfg),
-            scheduler_overhead_s=scheduler_overhead_s,
-            prediction_map=maps[(cfg.bucket_width, cfg.distance_threshold)],
+    memo: dict[tuple, float] = {}
+    results = []
+    for cfg in configs:
+        pm = maps[(cfg.bucket_width, cfg.distance_threshold)]
+        report = _run(
+            trace, catalog, Policy.shift(cfg), scheduler_overhead_s, pm, False, memo
         )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(one, configs))
-    else:
-        reports = [one(cfg) for cfg in configs]
-    return list(zip(configs, reports))
+        results.append((cfg, report))
+    return results
 
 
 def sweep_correlations(

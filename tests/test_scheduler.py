@@ -278,6 +278,64 @@ def test_decision_deterministic_across_fresh_states():
     assert dict(d1.scores) == dict(d2.scores)
 
 
+def test_frameless_call_keeps_last_frame_and_its_own_box():
+    from odsched.context import similarity
+
+    _, _, state = _two_model_setup()
+    img = _image(6)
+    own_box, other_box = BoundingBox(2, 2, 14, 14), BoundingBox(16, 16, 30, 30)
+    schedule(state, ("a", "gpu"), 0.9, img, own_box)
+    schedule(state, ("a", "gpu"), 0.9, None, other_box)
+    again = GrayscaleImage(img.pixels.copy())
+    d = schedule(state, ("a", "gpu"), 0.9, again, own_box)
+    # The box detected on the frameless call belongs to no stored frame.
+    assert d.similarity == similarity(img, again, own_box, own_box) == 1.0
+
+
+def test_shared_memo_matches_fresh_state():
+    frames = [_image(10 + i) for i in range(3)]
+    frames.append(GrayscaleImage(np.clip(frames[2].pixels + _image(13).pixels / 16, 0, 255)))
+    boxes = [BoundingBox(1, 1, 12, 12)] * 4
+
+    def similarities(state, indices=range(4)):
+        return [
+            schedule(state, ("a", "gpu"), 0.9, frames[i], boxes[i]).similarity
+            for i in indices
+        ]
+
+    memo: dict = {}
+    cat, pm, _ = _two_model_setup()
+    similarities(SchedulerState(cat, pm, memo=memo), [1, 2])
+    # Frame 1 misses, frame 2 hits, and frame 3 misses again: its previous
+    # frame's stats were never built, so they must not come from frame 1.
+    shared = similarities(SchedulerState(cat, pm, memo=memo))
+    assert shared == similarities(SchedulerState(cat, pm))
+    assert shared[3] > 0.5  # frame 3 is frame 2 plus noise
+    assert len(memo) == 6
+    assert all(type(v) is float for v in memo.values())
+
+
+def test_state_without_memo_keeps_no_per_frame_container(builtin, demo_trace):
+    from odsched.confidence_graph import build_prediction_map
+
+    state = SchedulerState(builtin, build_prediction_map(demo_trace))
+    pair = state.bootstrap().pair
+
+    def sizes():
+        return {k: len(v) for k, v in vars(state).items() if hasattr(v, "__len__")}
+
+    for i, fr in enumerate(demo_trace.frames):
+        out = fr.per_model.get(pair[0])
+        conf = out.confidence if out is not None else 0.0
+        box = out.box if out is not None else None
+        pair = schedule(state, pair, conf, fr.frame, box).pair
+        if i == 1:
+            early = sizes()
+    assert state.memo is None
+    assert sizes() == early
+    assert all(len(b) <= state.config.momentum for b in state.buffers.values())
+
+
 def test_frame_size_change_propagates_error():
     _, _, state = _two_model_setup()
     schedule(state, ("a", "gpu"), 0.5, _image(4, 32), None)
@@ -443,7 +501,7 @@ class NaiveScheduler:
             s = similarity(self.prev_frame, frame, self.prev_box, box)
         if frame is not None:
             self.prev_frame = frame
-        self.prev_box = box
+            self.prev_box = box
         if s * confidence >= self.config.accuracy_threshold:
             return pair, False
         return self._pass(predict(self.pm, pair[0], confidence)), True

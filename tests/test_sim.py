@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import make_catalog, make_profile, make_trace
+from odsched import scheduler, sim
 from odsched.catalog import (
     BoundingBox,
     CharacterizationTrace,
@@ -14,6 +15,7 @@ from odsched.catalog import (
 )
 from odsched.context import ncc
 from odsched.errors import ScenarioError
+from odsched.images import GrayscaleImage
 from odsched.scheduler import Knobs, SchedulerConfig
 from odsched.sim import (
     FrameResult,
@@ -267,11 +269,51 @@ def test_sweep_row_count_is_grid_product(builtin, demo_trace):
     assert len(results) == 4
 
 
-def test_sweep_jobs_deterministic(builtin, demo_trace):
-    grid = {"w_accuracy": [0.5, 1.0], "momentum": [10, 30]}
-    seq = sweep(demo_trace, builtin, grid, jobs=1)
-    par = sweep(demo_trace, builtin, grid, jobs=4)
-    assert [(c, r.to_dict()) for c, r in seq] == [(c, r.to_dict()) for c, r in par]
+def test_sweep_configs_match_standalone_run(builtin, demo_trace):
+    grid = {
+        "w_energy": [0.5, 1.0],
+        "momentum": [10, 30],
+        "distance_threshold": [0.5, 1.0],
+        "bucket_width": [0.1, 0.2],
+    }
+    results = sweep(demo_trace, builtin, grid)
+    assert len(results) == 16
+    for cfg, rep in results:
+        direct = run(demo_trace, builtin, Policy.shift(cfg))
+        assert rep.to_dict() == direct.to_dict()
+        assert rep.per_frame == direct.per_frame
+
+
+def test_sweep_computes_context_once_and_memoizes_floats(
+    builtin, demo_trace, monkeypatch
+):
+    frame_ncc_calls = 0
+    real_ncc_cached = scheduler.ncc_cached
+
+    def counting_ncc_cached(prev, cur):
+        nonlocal frame_ncc_calls
+        frame_ncc_calls += 1
+        return real_ncc_cached(prev, cur)
+
+    memos = []
+
+    class RecordingState(scheduler.SchedulerState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memos.append(self.memo)
+
+    monkeypatch.setattr(scheduler, "ncc_cached", counting_ncc_cached)
+    monkeypatch.setattr(sim, "SchedulerState", RecordingState)
+    sweep(demo_trace, builtin, {"w_energy": [0.0, 0.5, 1.0], "momentum": [10, 30]})
+
+    # Six configs share one memo and compare each consecutive frame pair once.
+    assert len(memos) == 6 and all(m is memos[0] for m in memos)
+    assert frame_ncc_calls == len(demo_trace) - 1
+    memo = memos[0]
+    assert len(memo) > len(demo_trace) - 1  # box terms too
+    assert all(type(v) is float for v in memo.values())
+    for key in memo:
+        assert all(isinstance(part, (GrayscaleImage, BoundingBox)) for part in key)
 
 
 def test_sweep_empty_grid_rejected(builtin, demo_trace):
