@@ -434,10 +434,13 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceError(f"{where}: invalid JSON: {exc}") from exc
-        try:
-            frame_index = int(rec["frame"])
-        except KeyError:
-            raise TraceError(f"{where}: record missing 'frame'") from None
+        if not isinstance(rec, dict):
+            raise TraceError(f"{where}: record must be a JSON object")
+        if "frame" not in rec:
+            raise TraceError(f"{where}: record missing 'frame'")
+        frame_index = rec["frame"]
+        if type(frame_index) is not int:
+            raise TraceError(f"{where}: 'frame' must be an integer, got {frame_index!r}")
         if frame_index <= last_index:
             raise TraceError(
                 f"{where}: frame index {frame_index} not strictly increasing"
@@ -459,10 +462,15 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
             except (OSError, ValueError) as exc:
                 raise TraceError(f"{where}: bad frame image: {exc}") from exc
 
+        raw_dets = rec.get("detections", {})
+        if not isinstance(raw_dets, dict):
+            raise TraceError(f"{where}: 'detections' must be a JSON object")
         detections: dict[str, DetectionOutcome] = {}
-        for model, det in rec.get("detections", {}).items():
+        for model, det in raw_dets.items():
             if model not in known:
                 raise TraceError(f"{where}: unknown model {model!r}")
+            if not isinstance(det, dict):
+                raise TraceError(f"{where}: 'detections.{model}' must be a JSON object")
             box = None
             if det.get("box") is not None:
                 box = _box_from_dict(det["box"], where)

@@ -26,7 +26,7 @@ from .confidence_graph import (
     save_prediction_map,
 )
 from .errors import ValidationError
-from .scheduler import Knobs, SchedulerConfig
+from .scheduler import SchedulerConfig
 
 CATALOG_ENV = "ODSCHED_CATALOG"
 _DEMO_TRACE_SEED = 0
@@ -46,35 +46,28 @@ def _resolve_trace(path: str | None, catalog: Catalog):
     return sim.gen_trace(sim.demo_scenario(), _DEMO_TRACE_SEED)
 
 
-def _scheduler_config(args: argparse.Namespace) -> SchedulerConfig:
-    return SchedulerConfig(
-        knobs=Knobs(
-            w_accuracy=args.w_acc,
-            w_energy=args.w_energy,
-            w_latency=args.w_latency,
-        ),
-        accuracy_threshold=args.accuracy_threshold,
-        momentum=args.momentum,
-        distance_threshold=args.distance,
-        bucket_width=args.bucket_width,
-    )
+# (flag, SchedulerConfig parameter, help); type and default come from the
+# library's defaults.
+_SCHEDULER_FLAGS = (
+    ("--accuracy-threshold", "accuracy_threshold",
+     "goal accuracy for the valid-model filter"),
+    ("--momentum", "momentum", "frames to average predicted accuracy over"),
+    ("--distance", "distance_threshold", "confidence-graph neighborhood threshold"),
+    ("--bucket-width", "bucket_width", "confidence bucket width"),
+    ("--w-acc", "w_accuracy", "accuracy knob weight"),
+    ("--w-energy", "w_energy", "energy knob weight"),
+    ("--w-latency", "w_latency", "latency knob weight"),
+)
 
 
 def _add_scheduler_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--accuracy-threshold", type=float, default=0.25,
-                   help="goal accuracy for the valid-model filter (default 0.25)")
-    p.add_argument("--momentum", type=int, default=30,
-                   help="frames to average predicted accuracy over (default 30)")
-    p.add_argument("--distance", type=float, default=0.5,
-                   help="confidence-graph neighborhood threshold (default 0.5)")
-    p.add_argument("--bucket-width", type=float, default=0.1,
-                   help="confidence bucket width (default 0.1)")
-    p.add_argument("--w-acc", type=float, default=1.0,
-                   help="accuracy knob weight (default 1.0)")
-    p.add_argument("--w-energy", type=float, default=0.5,
-                   help="energy knob weight (default 0.5)")
-    p.add_argument("--w-latency", type=float, default=0.5,
-                   help="latency knob weight (default 0.5)")
+    defaults = SchedulerConfig().params()
+    for flag, name, text in _SCHEDULER_FLAGS:
+        default = defaults[name]
+        # The metavar argparse would derive from the flag, not from `dest`.
+        p.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
+                       type=type(default), default=default,
+                       help=f"{text} (default {default})")
 
 
 def _parse_policy(text: str, config: SchedulerConfig) -> sim.Policy:
@@ -100,13 +93,12 @@ def _parse_policy(text: str, config: SchedulerConfig) -> sim.Policy:
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
-    if args.bucket_width <= 0 or args.bucket_width > 1:
-        raise ValidationError(f"bucket width {args.bucket_width} outside (0, 1]")
-    if args.distance < 0:
-        raise ValidationError("distance threshold must be >= 0")
+    # Checks both values before any I/O.
+    config = SchedulerConfig(bucket_width=args.bucket_width,
+                             distance_threshold=args.distance)
     catalog = _resolve_catalog(args.catalog)
     trace = _resolve_trace(args.trace, catalog)
-    pm = build_prediction_map(trace, args.bucket_width, args.distance,
+    pm = build_prediction_map(trace, config.bucket_width, config.distance_threshold,
                               min_samples=args.min_samples)
     save_prediction_map(pm, args.out)
     doc = prediction_map_to_dict(pm)
@@ -118,8 +110,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _scheduler_config(args)
-    policy = _parse_policy(args.policy, config)
+    policy = _parse_policy(args.policy, SchedulerConfig.from_params(vars(args)))
     catalog = _resolve_catalog(args.catalog)
     trace = _resolve_trace(args.trace, catalog)
     prediction_map = load_prediction_map(args.graph) if args.graph else None
@@ -154,14 +145,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     summary = sim.sweep_correlations(results)
     summary_path = args.summary or f"{args.out}.summary.json"
     Path(summary_path).write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
     print(f"wrote {args.out} ({len(results)} configurations)")
     for name, corr in summary.items():
-        print(
-            f"spearman {name}: iou {corr['iou']:+.3f}  "
-            f"energy {corr['energy']:+.3f}  latency {corr['latency']:+.3f}"
+        terms = (
+            f"{metric} {'n/a' if rho is None else format(rho, '+.3f')}"
+            for metric, rho in corr.items()
         )
+        print(f"spearman {name}: " + "  ".join(terms))
     return 0
 
 
@@ -181,12 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
         "sweeps, and synthetic trace generation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SchedulerConfig()
 
     p = sub.add_parser("build-graph", help="build and serialize a prediction map")
     p.add_argument("--catalog", help=f"catalog JSON (default ${CATALOG_ENV} or bundled)")
     p.add_argument("--trace", help="characterization trace (default: bundled demo)")
-    p.add_argument("--bucket-width", type=float, default=0.1)
-    p.add_argument("--distance", type=float, default=0.5)
+    p.add_argument("--bucket-width", type=float, default=defaults.bucket_width)
+    p.add_argument("--distance", type=float, default=defaults.distance_threshold)
     p.add_argument("--min-samples", type=int, default=1,
                    help="prune buckets with fewer samples (default 1 = keep all)")
     p.add_argument("--out", required=True, help="output map JSON path")

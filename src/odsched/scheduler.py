@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Any, Mapping
 
 from .catalog import BoundingBox, Catalog, ModelId, Pair
 from .confidence_graph import Prediction, PredictionMap, predict
@@ -65,6 +65,34 @@ class SchedulerConfig:
             raise ValueError("distance threshold must be >= 0")
         if not (0.0 < self.bucket_width <= 1.0):
             raise ValueError(f"bucket width {self.bucket_width} outside (0, 1]")
+
+    def params(self) -> dict[str, float | int]:
+        """The seven scheduler parameters, knobs flattened, in sweep order."""
+        return {
+            "w_accuracy": self.knobs.w_accuracy,
+            "w_energy": self.knobs.w_energy,
+            "w_latency": self.knobs.w_latency,
+            "accuracy_threshold": self.accuracy_threshold,
+            "momentum": self.momentum,
+            "distance_threshold": self.distance_threshold,
+            "bucket_width": self.bucket_width,
+        }
+
+    @classmethod
+    def from_params(cls, params: Mapping[str, Any]) -> SchedulerConfig:
+        """Inverse of `params()`: momentum is coerced to int, the rest to
+        float.  Keys other than the seven parameters are ignored."""
+        return cls(
+            knobs=Knobs(
+                w_accuracy=float(params["w_accuracy"]),
+                w_energy=float(params["w_energy"]),
+                w_latency=float(params["w_latency"]),
+            ),
+            accuracy_threshold=float(params["accuracy_threshold"]),
+            momentum=int(params["momentum"]),
+            distance_threshold=float(params["distance_threshold"]),
+            bucket_width=float(params["bucket_width"]),
+        )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy import stats as _scipy_stats
@@ -43,7 +43,7 @@ from .confidence_graph import PredictionMap, build_prediction_map
 from .errors import ScenarioError
 from .images import GrayscaleImage
 from .loader import AcceleratorMemory
-from .scheduler import Knobs, SchedulerConfig, SchedulerState, schedule
+from .scheduler import SchedulerConfig, SchedulerState, schedule
 
 SUCCESS_IOU = 0.5
 DEFAULT_OVERHEAD_S = 0.002
@@ -141,15 +141,7 @@ class SimulationReport:
             "total_load_energy_j": self.total_load_energy_j,
         }
         if self.config is not None:
-            doc["config"] = {
-                "w_accuracy": self.config.knobs.w_accuracy,
-                "w_energy": self.config.knobs.w_energy,
-                "w_latency": self.config.knobs.w_latency,
-                "accuracy_threshold": self.config.accuracy_threshold,
-                "momentum": self.config.momentum,
-                "distance_threshold": self.config.distance_threshold,
-                "bucket_width": self.config.bucket_width,
-            }
+            doc["config"] = self.config.params()
         return doc
 
     def summary_row(self) -> str:
@@ -254,14 +246,50 @@ def _run(
 ) -> SimulationReport:
     if len(trace) == 0:
         raise ValueError("empty trace")
+    if not (math.isfinite(overhead_s) and overhead_s >= 0.0):
+        raise ValueError(f"scheduler overhead {overhead_s} must be finite and >= 0")
+    config = None
+    charged_overhead_s = 0.0  # only the adaptive policy pays for deciding
+    memories: dict[str, AcceleratorMemory] | None = {
+        name: AcceleratorMemory(name, acc.memory_bytes)
+        for name, acc in catalog.accelerators.items()
+    }
     if policy.kind == "shift":
-        per_frame, config = _run_shift(
-            trace, catalog, policy, overhead_s, prediction_map, prefill, memo
-        )
+        config = policy.config if policy.config is not None else SchedulerConfig()
+        charged_overhead_s = overhead_s
+        pm = prediction_map
+        if pm is None:
+            pm = build_prediction_map(
+                trace, config.bucket_width, config.distance_threshold
+            )
+        state = SchedulerState(catalog, pm, config, memo=memo)
+        if prefill:
+            order = sorted(catalog.models)
+            for mem in memories.values():
+                mem.prefill(catalog, order)
+        pair = state.bootstrap().pair
+
+        def choose(fr: FrameRecord) -> Pair:
+            nonlocal pair
+            incumbent = fr.per_model.get(pair[0])
+            confidence = incumbent.confidence if incumbent is not None else 0.0
+            box = incumbent.box if incumbent is not None else None
+            pair = schedule(state, pair, confidence, fr.frame, box).pair
+            return pair
+
     elif policy.kind == "single":
-        per_frame, config = _run_single(trace, catalog, policy), None
+        fixed = policy.pair
+        assert fixed is not None
+        if fixed not in catalog.profiles:
+            raise ValueError(
+                f"single-model pair ({fixed[0]}, {fixed[1]}) is not profiled in the catalog"
+            )
+        choose = lambda fr: fixed
     else:
-        per_frame, config = _run_oracle(trace, catalog, policy), None
+        objective = policy.kind.removeprefix("oracle_")
+        memories = None  # oracles assume every model is preloaded
+        choose = lambda fr: oracle_choose(fr, catalog, objective)
+    per_frame = _replay(trace, catalog, choose, charged_overhead_s, memories)
     agg = metrics(per_frame, catalog.gpu_accelerators())
     return SimulationReport(
         policy=policy.describe(),
@@ -271,117 +299,40 @@ def _run(
     )
 
 
-def _run_shift(
+def _replay(
     trace: CharacterizationTrace,
     catalog: Catalog,
-    policy: Policy,
+    choose: Callable[[FrameRecord], Pair],
     overhead_s: float,
-    prediction_map: PredictionMap | None,
-    prefill: bool,
-    memo: dict[tuple, float] | None,
-) -> tuple[list[FrameResult], SchedulerConfig]:
-    config = policy.config if policy.config is not None else SchedulerConfig()
-    pm = prediction_map
-    if pm is None:
-        pm = build_prediction_map(
-            trace, config.bucket_width, config.distance_threshold
-        )
-    state = SchedulerState(catalog, pm, config, memo=memo)
-    memories = {
-        name: AcceleratorMemory(name, acc.memory_bytes)
-        for name, acc in catalog.accelerators.items()
-    }
-    if prefill:
-        order = sorted(catalog.models)
-        for mem in memories.values():
-            mem.prefill(catalog, order)
-
-    pair = state.bootstrap().pair
+    memories: Mapping[str, AcceleratorMemory] | None,
+) -> list[FrameResult]:
+    """Charge each frame the pair `choose` picks: its profiled cost plus
+    `overhead_s`, and its load cost when `memories` is given (oracles pay no
+    loads)."""
     results: list[FrameResult] = []
     prev_pair: Pair | None = None
     for fr in trace.frames:
-        incumbent_out = fr.per_model.get(pair[0])
-        confidence = incumbent_out.confidence if incumbent_out is not None else 0.0
-        box = incumbent_out.box if incumbent_out is not None else None
-        decision = schedule(state, pair, confidence, fr.frame, box)
-        pair = decision.pair
-        load = memories[pair[1]].request(pair[0], catalog)
+        pair = choose(fr)
         profile = catalog.profile(*pair)
+        load_time_s = load_energy_j = 0.0
+        if memories is not None:
+            load = memories[pair[1]].request(pair[0], catalog)
+            load_time_s, load_energy_j = load.time_cost_s, load.energy_cost_j
         # A chosen model without trace coverage on this frame scores 0; it
         # penalizes scheduling uncharacterized models instead of erroring.
-        chosen_out = fr.per_model.get(pair[0])
+        out = fr.per_model.get(pair[0])
         results.append(
             FrameResult(
                 frame_index=fr.frame_index,
                 model=pair[0],
                 accelerator=pair[1],
-                achieved_iou=chosen_out.iou if chosen_out is not None else 0.0,
-                confidence=chosen_out.confidence if chosen_out is not None else 0.0,
+                achieved_iou=out.iou if out is not None else 0.0,
+                confidence=out.confidence if out is not None else 0.0,
                 latency_s=profile.avg_latency_s + overhead_s,
                 energy_j=profile.avg_energy_j,
                 swap_occurred=prev_pair is not None and pair != prev_pair,
-                load_time_s=load.time_cost_s,
-                load_energy_j=load.energy_cost_j,
-            )
-        )
-        prev_pair = pair
-    return results, config
-
-
-def _run_single(
-    trace: CharacterizationTrace, catalog: Catalog, policy: Policy
-) -> list[FrameResult]:
-    assert policy.pair is not None
-    pair = policy.pair
-    if pair not in catalog.profiles:
-        raise ValueError(
-            f"single-model pair ({pair[0]}, {pair[1]}) is not profiled in the catalog"
-        )
-    profile = catalog.profiles[pair]
-    memory = AcceleratorMemory(pair[1], catalog.accelerators[pair[1]].memory_bytes)
-    results: list[FrameResult] = []
-    for fr in trace.frames:
-        load = memory.request(pair[0], catalog)
-        out = fr.per_model.get(pair[0])
-        results.append(
-            FrameResult(
-                frame_index=fr.frame_index,
-                model=pair[0],
-                accelerator=pair[1],
-                achieved_iou=out.iou if out is not None else 0.0,
-                confidence=out.confidence if out is not None else 0.0,
-                latency_s=profile.avg_latency_s,
-                energy_j=profile.avg_energy_j,
-                swap_occurred=False,
-                load_time_s=load.time_cost_s,
-                load_energy_j=load.energy_cost_j,
-            )
-        )
-    return results
-
-
-def _run_oracle(
-    trace: CharacterizationTrace, catalog: Catalog, policy: Policy
-) -> list[FrameResult]:
-    objective = policy.kind.removeprefix("oracle_")
-    results: list[FrameResult] = []
-    prev_pair: Pair | None = None
-    for fr in trace.frames:
-        pair = oracle_choose(fr, catalog, objective)
-        profile = catalog.profiles[pair]
-        out = fr.per_model.get(pair[0])
-        results.append(
-            FrameResult(
-                frame_index=fr.frame_index,
-                model=pair[0],
-                accelerator=pair[1],
-                achieved_iou=out.iou if out is not None else 0.0,
-                confidence=out.confidence if out is not None else 0.0,
-                latency_s=profile.avg_latency_s,
-                energy_j=profile.avg_energy_j,
-                swap_occurred=prev_pair is not None and pair != prev_pair,
-                load_time_s=0.0,
-                load_energy_j=0.0,
+                load_time_s=load_time_s,
+                load_energy_j=load_energy_j,
             )
         )
         prev_pair = pair
@@ -391,15 +342,7 @@ def _run_oracle(
 # ---------------------------------------------------------------------------
 # Parameter sweeps
 
-PARAM_ORDER = (
-    "w_accuracy",
-    "w_energy",
-    "w_latency",
-    "accuracy_threshold",
-    "momentum",
-    "distance_threshold",
-    "bucket_width",
-)
+PARAM_ORDER = tuple(SchedulerConfig().params())
 
 
 def expand_grid(grid: Mapping[str, Sequence]) -> list[SchedulerConfig]:
@@ -411,39 +354,16 @@ def expand_grid(grid: Mapping[str, Sequence]) -> list[SchedulerConfig]:
     unknown = sorted(str(k) for k in set(grid) - set(PARAM_ORDER))
     if unknown:
         raise ValueError(f"unknown sweep parameters: {', '.join(unknown)}")
-    base = SchedulerConfig()
-    defaults = {
-        "w_accuracy": base.knobs.w_accuracy,
-        "w_energy": base.knobs.w_energy,
-        "w_latency": base.knobs.w_latency,
-        "accuracy_threshold": base.accuracy_threshold,
-        "momentum": base.momentum,
-        "distance_threshold": base.distance_threshold,
-        "bucket_width": base.bucket_width,
-    }
     axes = []
-    for name in PARAM_ORDER:
-        values = list(grid.get(name, [defaults[name]]))
+    for name, default in SchedulerConfig().params().items():
+        values = list(grid.get(name, [default]))
         if not values:
             raise ValueError(f"sweep parameter {name!r} has no values")
         axes.append(values)
-    configs = []
-    for combo in itertools.product(*axes):
-        params = dict(zip(PARAM_ORDER, combo))
-        configs.append(
-            SchedulerConfig(
-                knobs=Knobs(
-                    w_accuracy=float(params["w_accuracy"]),
-                    w_energy=float(params["w_energy"]),
-                    w_latency=float(params["w_latency"]),
-                ),
-                accuracy_threshold=float(params["accuracy_threshold"]),
-                momentum=int(params["momentum"]),
-                distance_threshold=float(params["distance_threshold"]),
-                bucket_width=float(params["bucket_width"]),
-            )
-        )
-    return configs
+    return [
+        SchedulerConfig.from_params(dict(zip(PARAM_ORDER, combo)))
+        for combo in itertools.product(*axes)
+    ]
 
 
 def sweep(
@@ -481,37 +401,29 @@ def sweep(
 
 def sweep_correlations(
     results: Sequence[tuple[SchedulerConfig, SimulationReport]],
-) -> dict[str, dict[str, float]]:
+) -> dict[str, dict[str, float | None]]:
     """Spearman rank correlation of each varied parameter against the
-    achieved IoU, consumed energy, and latency (load costs included)."""
+    achieved IoU, consumed energy, and latency (load costs included).
+
+    A response that is the same for every configuration has no rank
+    correlation; it is recorded as None.
+    """
     if not results:
         raise ValueError("no sweep results to correlate")
-
-    def param_values(name: str) -> list[float]:
-        out = []
-        for cfg, _ in results:
-            if name == "w_accuracy":
-                out.append(cfg.knobs.w_accuracy)
-            elif name == "w_energy":
-                out.append(cfg.knobs.w_energy)
-            elif name == "w_latency":
-                out.append(cfg.knobs.w_latency)
-            else:
-                out.append(float(getattr(cfg, name)))
-        return out
-
     responses = {
         "iou": [rep.avg_iou for _, rep in results],
         "energy": [rep.avg_energy_with_loads_j for _, rep in results],
         "latency": [rep.avg_time_with_loads_s for _, rep in results],
     }
-    summary: dict[str, dict[str, float]] = {}
+    summary: dict[str, dict[str, float | None]] = {}
     for name in PARAM_ORDER:
-        xs = param_values(name)
+        xs = [cfg.params()[name] for cfg, _ in results]
         if len(set(xs)) < 2:
             continue
         summary[name] = {
             metric: float(_scipy_stats.spearmanr(xs, ys).statistic)
+            if len(set(ys)) > 1
+            else None
             for metric, ys in responses.items()
         }
     return summary
@@ -749,39 +661,25 @@ def write_timeline_csv(report: SimulationReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Report fields written after the parameters, one row per configuration.
+_SWEEP_COLUMNS = (
+    "avg_iou",
+    "avg_time_s",
+    "avg_energy_j",
+    "avg_time_with_loads_s",
+    "avg_energy_with_loads_j",
+    "success_rate",
+    "non_gpu_fraction",
+    "model_swaps",
+    "pairs_used",
+)
+
+
 def write_sweep_csv(
     results: Sequence[tuple[SchedulerConfig, SimulationReport]], path: str | Path
 ) -> None:
-    header = list(PARAM_ORDER) + [
-        "avg_iou",
-        "avg_time_s",
-        "avg_energy_j",
-        "avg_time_with_loads_s",
-        "avg_energy_with_loads_j",
-        "success_rate",
-        "non_gpu_fraction",
-        "model_swaps",
-        "pairs_used",
-    ]
-    lines = [",".join(header)]
+    lines = [",".join(PARAM_ORDER + _SWEEP_COLUMNS)]
     for cfg, rep in results:
-        row = [
-            cfg.knobs.w_accuracy,
-            cfg.knobs.w_energy,
-            cfg.knobs.w_latency,
-            cfg.accuracy_threshold,
-            cfg.momentum,
-            cfg.distance_threshold,
-            cfg.bucket_width,
-            rep.avg_iou,
-            rep.avg_time_s,
-            rep.avg_energy_j,
-            rep.avg_time_with_loads_s,
-            rep.avg_energy_with_loads_j,
-            rep.success_rate,
-            rep.non_gpu_fraction,
-            rep.model_swaps,
-            rep.pairs_used,
-        ]
+        row = [*cfg.params().values(), *(getattr(rep, c) for c in _SWEEP_COLUMNS)]
         lines.append(",".join(str(v) for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

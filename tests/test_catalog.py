@@ -295,6 +295,24 @@ def test_load_trace_bad_json(tmp_path, two_model_catalog):
         load_trace(path, two_model_catalog)
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        ([1, 2], "JSON object"),
+        ({"frame": 1, "detections": []}, "'detections'"),
+        ({"frame": 1, "detections": {"a": 0.5}}, "'detections.a'"),
+        ({"frame": "abc", "detections": {}}, "'frame'"),
+        ({"frame": 1.5, "detections": {}}, "'frame'"),
+    ],
+)
+def test_load_trace_wrong_json_type_names_line_and_field(
+    tmp_path, two_model_catalog, record, field
+):
+    path = _write_trace(tmp_path, [{"frame": 0, "detections": {}}, record])
+    with pytest.raises(TraceError, match=f"trace.ndjson:2: .*{field}"):
+        load_trace(path, two_model_catalog)
+
+
 def test_trace_pgm_frame_reference(tmp_path, two_model_catalog):
     import numpy as np
 

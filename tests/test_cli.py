@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -149,6 +150,32 @@ def test_sweep_two_by_two(tmp_path, trace_file, capsys):
     summary = json.loads((tmp_path / "sweep.csv.summary.json").read_text())
     assert set(summary) == {"w_accuracy", "w_energy"}
     assert "spearman" in capsys.readouterr().out
+
+
+def test_sweep_constant_response_is_null_in_strict_json(tmp_path, trace_file, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"w_latency": [0.5, 0.6]}))
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["sweep", "--trace", trace_file, "--grid", str(grid), "--out", str(out)])
+    assert code == 0
+
+    def reject(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "sweep.csv.summary.json").read_text()
+    summary = json.loads(text, parse_constant=reject)
+    assert summary == {"w_latency": {"iou": None, "energy": None, "latency": None}}
+    assert "spearman w_latency: iou n/a  energy n/a  latency n/a" in capsys.readouterr().out
+
+
+def test_simulate_negative_overhead_fails_before_writing(tmp_path, trace_file, capsys):
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--trace", trace_file, "--overhead", "-1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: scheduler overhead -1.0")
+    assert not out.exists()
 
 
 def test_sweep_missing_grid_file(tmp_path, trace_file):

@@ -111,6 +111,14 @@ def test_shift_charges_overhead_as_time_only(builtin, demo_trace):
     assert loaded.avg_energy_j == base.avg_energy_j
 
 
+@pytest.mark.parametrize("overhead", [-0.001, float("nan"), float("inf")])
+def test_negative_or_non_finite_overhead_rejected(builtin, demo_trace, overhead):
+    with pytest.raises(ValueError, match="overhead"):
+        run(demo_trace, builtin, Policy.shift(), scheduler_overhead_s=overhead)
+    with pytest.raises(ValueError, match="overhead"):
+        sweep(demo_trace, builtin, {"momentum": [30]}, scheduler_overhead_s=overhead)
+
+
 def test_shift_uncharacterized_choice_scores_zero():
     # model b is characterized only at the start; when the scheduler keeps
     # choosing it later (no context to trigger otherwise), missing frames
