@@ -33,19 +33,20 @@ Trace: newline-delimited JSON, one record per frame::
 
 `ground_truth`, `frame_image`, and a detection's `box` are all optional.
 A `frame_image` string is a PGM (P5) path resolved relative to the trace
-file's directory.
+file's directory.  Every frame has the first frame's size, and the boxes
+of a record with a frame lie inside it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import CatalogError, TraceError
+from .errors import CatalogError, TraceError, read_json, write_json
 from .images import GrayscaleImage, decode_inline, encode_inline, read_pgm
 
 ModelId = str
@@ -141,11 +142,11 @@ class ModelProfile:
     def __post_init__(self) -> None:
         pair = f"({self.model}, {self.accelerator})"
         for name in ("avg_latency_s", "avg_power_w", "avg_energy_j", "memory_bytes"):
-            if getattr(self, name) <= 0:
-                raise CatalogError(f"profile {pair}: {name} must be > 0")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise CatalogError(f"profile {pair}: {name} must be finite and > 0")
         for name in ("load_time_s", "load_energy_j"):
-            if getattr(self, name) < 0:
-                raise CatalogError(f"profile {pair}: {name} must be >= 0")
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise CatalogError(f"profile {pair}: {name} must be finite and >= 0")
 
     @property
     def pair(self) -> Pair:
@@ -165,8 +166,8 @@ class Catalog:
     def __post_init__(self) -> None:
         # Canonical model order makes save -> load an identity.
         object.__setattr__(self, "models", tuple(sorted(self.models)))
-        if self.energy_tolerance <= 0:
-            raise CatalogError("energy_tolerance must be > 0")
+        if not (math.isfinite(self.energy_tolerance) and self.energy_tolerance > 0):
+            raise CatalogError("energy_tolerance must be finite and > 0")
         _validate_catalog(self)
 
     def is_compatible(self, model: ModelId, accelerator: AcceleratorId) -> bool:
@@ -225,39 +226,32 @@ def _validate_catalog(cat: Catalog) -> None:
 def catalog_from_dict(doc: dict) -> Catalog:
     if not isinstance(doc, dict):
         raise CatalogError("catalog document must be a JSON object")
+    where = "energy_tolerance"
     try:
-        accel_entries = doc["accelerators"]
-        model_entries = doc["models"]
-        compat_entries = doc["compatibility"]
-        profile_entries = doc["profiles"]
-    except KeyError as exc:
-        raise CatalogError(f"catalog missing top-level key {exc}") from None
-    tolerance = float(doc.get("energy_tolerance", DEFAULT_ENERGY_TOLERANCE))
-
-    accelerators: dict[str, Accelerator] = {}
-    for entry in accel_entries:
-        try:
+        tolerance = float(doc.get("energy_tolerance", DEFAULT_ENERGY_TOLERANCE))
+        accelerators: dict[str, Accelerator] = {}
+        where = "accelerators"
+        for i, entry in enumerate(doc["accelerators"]):
+            where = f"accelerators[{i}]"
             acc = Accelerator(
                 name=str(entry["name"]),
                 memory_bytes=int(entry["memory_bytes"]),
                 is_gpu=bool(entry.get("gpu", str(entry["name"]).lower() == "gpu")),
             )
-        except KeyError as exc:
-            raise CatalogError(f"accelerator entry missing key {exc}") from None
-        if acc.name in accelerators:
-            raise CatalogError(f"duplicate accelerator {acc.name!r}")
-        accelerators[acc.name] = acc
-
-    models = tuple(str(m) for m in model_entries)
-
-    compatibility: set[Pair] = set()
-    for model, accels in compat_entries.items():
-        for accel in accels:
-            compatibility.add((str(model), str(accel)))
-
-    profiles: dict[Pair, ModelProfile] = {}
-    for entry in profile_entries:
-        try:
+            if acc.name in accelerators:
+                raise CatalogError(f"duplicate accelerator {acc.name!r}")
+            accelerators[acc.name] = acc
+        where = "models"
+        models = tuple(str(m) for m in doc["models"])
+        compatibility: set[Pair] = set()
+        where = "compatibility"
+        for model, accels in doc["compatibility"].items():
+            where = f"compatibility[{model!r}]"
+            compatibility.update((str(model), str(accel)) for accel in accels)
+        profiles: dict[Pair, ModelProfile] = {}
+        where = "profiles"
+        for i, entry in enumerate(doc["profiles"]):
+            where = f"profiles[{i}]"
             prof = ModelProfile(
                 model=str(entry["model"]),
                 accelerator=str(entry["accelerator"]),
@@ -268,14 +262,15 @@ def catalog_from_dict(doc: dict) -> Catalog:
                 load_time_s=float(entry["load_time_s"]),
                 load_energy_j=float(entry["load_energy_j"]),
             )
-        except KeyError as exc:
-            raise CatalogError(f"profile entry missing key {exc}") from None
-        if prof.pair in profiles:
-            raise CatalogError(
-                f"duplicate profile for pair ({prof.model}, {prof.accelerator})"
-            )
-        profiles[prof.pair] = prof
-
+            if prof.pair in profiles:
+                raise CatalogError(
+                    f"duplicate profile for pair ({prof.model}, {prof.accelerator})"
+                )
+            profiles[prof.pair] = prof
+    # int() of an infinite number raises OverflowError.
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise CatalogError(f"{where}: {reason}") from None
     return Catalog(
         accelerators=accelerators,
         models=models,
@@ -297,47 +292,22 @@ def catalog_to_dict(cat: Catalog) -> dict:
         ],
         "models": sorted(cat.models),
         "compatibility": compat,
-        "profiles": [
-            {
-                "model": p.model,
-                "accelerator": p.accelerator,
-                "avg_latency_s": p.avg_latency_s,
-                "avg_power_w": p.avg_power_w,
-                "avg_energy_j": p.avg_energy_j,
-                "memory_bytes": p.memory_bytes,
-                "load_time_s": p.load_time_s,
-                "load_energy_j": p.load_energy_j,
-            }
-            for _, p in sorted(cat.profiles.items())
-        ],
+        "profiles": [asdict(p) for _, p in sorted(cat.profiles.items())],
     }
 
 
 def load_catalog(path: str | Path) -> Catalog:
     """Load and validate a catalog JSON file."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CatalogError(f"cannot read catalog {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"catalog {path} is not valid JSON: {exc}") from exc
-    return catalog_from_dict(doc)
+    return catalog_from_dict(read_json(path, "catalog", CatalogError))
 
 
 def save_catalog(cat: Catalog, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(catalog_to_dict(cat), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(catalog_to_dict(cat), path)
 
 
 def builtin_catalog() -> Catalog:
     """The bundled demo catalog of eight detection models on gpu/dla/oakd."""
-    text = resources.files("odsched.data").joinpath("builtin_catalog.json").read_text()
-    return catalog_from_dict(json.loads(text))
+    return load_catalog(resources.files("odsched.data") / "builtin_catalog.json")
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +372,7 @@ def _box_from_dict(obj: dict, where: str) -> BoundingBox:
         )
     except KeyError as exc:
         raise TraceError(f"{where}: box missing key {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise TraceError(f"{where}: {exc}") from None
 
 
@@ -420,12 +390,13 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
 
     known = set(catalog.models)
     frames: list[FrameRecord] = []
     last_index = -1
+    size = None  # (width, height) of the first frame; every frame must match
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -449,7 +420,7 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
 
         gt = None
         if rec.get("ground_truth") is not None:
-            gt = _box_from_dict(rec["ground_truth"], where)
+            gt = _box_from_dict(rec["ground_truth"], f"{where}: 'ground_truth'")
 
         image = None
         raw_img = rec.get("frame_image")
@@ -473,7 +444,7 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                 raise TraceError(f"{where}: 'detections.{model}' must be a JSON object")
             box = None
             if det.get("box") is not None:
-                box = _box_from_dict(det["box"], where)
+                box = _box_from_dict(det["box"], f"{where}: 'detections.{model}.box'")
             try:
                 outcome = DetectionOutcome(
                     confidence=float(det["confidence"]),
@@ -482,9 +453,27 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                 )
             except KeyError as exc:
                 raise TraceError(f"{where}: detection missing key {exc}") from None
-            except ValueError as exc:
-                raise TraceError(f"{where}: frame {frame_index}: {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise TraceError(
+                    f"{where}: frame {frame_index}: 'detections.{model}': {exc}"
+                ) from None
             detections[model] = outcome
+
+        if image is not None:
+            size = size or (image.width, image.height)
+            if (image.width, image.height) != size:
+                raise TraceError(
+                    f"{where}: frame is {image.width}x{image.height}, "
+                    f"but the first frame is {size[0]}x{size[1]}"
+                )
+            boxes = {"ground_truth": gt}
+            boxes.update((f"detections.{m}.box", d.box) for m, d in detections.items())
+            for name, box in boxes.items():
+                if box is not None and (box.x_max > size[0] or box.y_max > size[1]):
+                    raise TraceError(
+                        f"{where}: '{name}' ({box.x_min}, {box.y_min}, {box.x_max}, "
+                        f"{box.y_max}) outside {size[0]}x{size[1]} frame"
+                    )
 
         frames.append(
             FrameRecord(

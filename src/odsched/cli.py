@@ -12,10 +12,8 @@ given, a demo trace is synthesized from the bundled scenario with seed 0.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from pathlib import Path
 
 from . import sim
 from .catalog import Catalog, builtin_catalog, load_catalog, load_trace, save_trace
@@ -25,7 +23,7 @@ from .confidence_graph import (
     prediction_map_to_dict,
     save_prediction_map,
 )
-from .errors import ValidationError
+from .errors import ValidationError, read_json, write_json
 from .scheduler import SchedulerConfig
 
 CATALOG_ENV = "ODSCHED_CATALOG"
@@ -134,20 +132,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     catalog = _resolve_catalog(args.catalog)
     trace = _resolve_trace(args.trace, catalog)
-    try:
-        grid = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read grid {args.grid}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"grid {args.grid} is not valid JSON: {exc}") from exc
+    grid = read_json(args.grid, "grid", ValidationError)
     results = sim.sweep(trace, catalog, grid, scheduler_overhead_s=args.overhead)
     sim.write_sweep_csv(results, args.out)
     summary = sim.sweep_correlations(results)
     summary_path = args.summary or f"{args.out}.summary.json"
-    Path(summary_path).write_text(
-        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n",
-        encoding="utf-8",
-    )
+    write_json(summary, summary_path)
     print(f"wrote {args.out} ({len(results)} configurations)")
     for name, corr in summary.items():
         terms = (

@@ -21,13 +21,13 @@ characterization.
 from __future__ import annotations
 
 import heapq
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .catalog import CharacterizationTrace, ModelId
+from .errors import ValidationError, read_json, write_json
 
 # Inverse-distance weighting floor; keeps the distance-0 self node finite
 # but dominant.
@@ -325,35 +325,42 @@ def prediction_map_to_dict(pm: PredictionMap) -> dict:
         "entries": [
             {
                 "node": list(key),
-                "predictions": [
-                    {"model": p.model, "accuracy": p.accuracy, "distance": p.distance}
-                    for p in preds
-                ],
+                "predictions": [asdict(p) for p in preds],
             }
             for key, preds in sorted(pm.entries.items())
         ],
     }
 
 
+def _node_key(pair: list) -> NodeKey:
+    model, idx = pair
+    return (str(model), int(idx))
+
+
 def prediction_map_from_dict(doc: dict) -> PredictionMap:
+    if not isinstance(doc, dict):
+        raise ValidationError("malformed prediction map document: not a JSON object")
+    where = "prediction map"
     try:
         width = float(doc["bucket_width"])
         threshold = float(doc["distance_threshold"])
-        nodes = {
-            (str(n["model"]), int(n["bucket"])): GraphNode(
-                bucket=_bucket(str(n["model"]), int(n["bucket"]), width),
+        nodes: dict[NodeKey, GraphNode] = {}
+        for i, n in enumerate(doc["nodes"]):
+            where = f"nodes[{i}]"
+            key = (str(n["model"]), int(n["bucket"]))
+            nodes[key] = GraphNode(
+                bucket=_bucket(*key, width),
                 expected_accuracy=float(n["expected_accuracy"]),
                 sample_count=int(n["samples"]),
             )
-            for n in doc["nodes"]
-        }
-        arcs = {
-            ((str(a["from"][0]), int(a["from"][1])),
-             (str(a["to"][0]), int(a["to"][1]))): float(a["cost"])
-            for a in doc["arcs"]
-        }
-        entries = {
-            (str(e["node"][0]), int(e["node"][1])): tuple(
+        arcs: dict[tuple[NodeKey, NodeKey], float] = {}
+        for i, a in enumerate(doc["arcs"]):
+            where = f"arcs[{i}]"
+            arcs[(_node_key(a["from"]), _node_key(a["to"]))] = float(a["cost"])
+        entries: dict[NodeKey, tuple[Prediction, ...]] = {}
+        for i, e in enumerate(doc["entries"]):
+            where = f"entries[{i}]"
+            entries[_node_key(e["node"])] = tuple(
                 Prediction(
                     model=str(p["model"]),
                     accuracy=float(p["accuracy"]),
@@ -361,13 +368,13 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
                 )
                 for p in e["predictions"]
             )
-            for e in doc["entries"]
-        }
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed prediction map document: {exc}") from exc
+    # int() of an infinite number raises OverflowError.
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"{where}: {reason}") from None
     missing = sorted(set(nodes) - set(entries))
     if missing:
-        raise ValueError(f"prediction map node {missing[0]} has no entry")
+        raise ValidationError(f"prediction map node {missing[0]} has no entry")
     return PredictionMap(
         bucket_width=width,
         distance_threshold=threshold,
@@ -378,17 +385,8 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
 
 
 def save_prediction_map(pm: PredictionMap, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(prediction_map_to_dict(pm), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(prediction_map_to_dict(pm), path)
 
 
 def load_prediction_map(path: str | Path) -> PredictionMap:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValueError(f"cannot read prediction map {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"prediction map {path} is not valid JSON: {exc}") from exc
-    return prediction_map_from_dict(doc)
+    return prediction_map_from_dict(read_json(path, "prediction map", ValidationError))

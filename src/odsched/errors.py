@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its JSON file layer.
+
+Every whole-file JSON input is parsed by `read_json`, which reports an
+unreadable or unparsable file as the caller's `ValidationError` subclass.
+Every whole-file JSON output is written by `write_json` in one format:
+sorted keys, two-space indent, no NaN or infinity, a trailing newline.
+Traces are NDJSON and keep their per-line reader and writer in `catalog`.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any
 
 
 class ValidationError(ValueError):
@@ -15,3 +28,23 @@ class TraceError(ValidationError):
 
 class ScenarioError(ValidationError):
     """Synthetic trace scenario description is malformed."""
+
+
+def read_json(path: str | Path, what: str, error: type[ValidationError]) -> Any:
+    """Parse the JSON document at `path`; `what` names it in an `error`."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # also undecodable bytes
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_json(doc: Any, path: str | Path) -> None:
+    """Write `doc` to `path`; NaN and infinity are rejected, not written."""
+    Path(path).write_text(
+        json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
+        encoding="utf-8",
+    )

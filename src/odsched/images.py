@@ -67,7 +67,8 @@ def decode_inline(obj: dict) -> GrayscaleImage:
         width = int(obj["width"])
         height = int(obj["height"])
         raw = base64.b64decode(obj["pixels_b64"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:
+    # int() of an infinite number raises OverflowError.
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"bad inline image block: {exc}") from exc
     return GrayscaleImage.from_bytes(width, height, raw)
 

@@ -20,9 +20,8 @@ Policies:
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -40,7 +39,7 @@ from .catalog import (
     Pair,
 )
 from .confidence_graph import PredictionMap, build_prediction_map
-from .errors import ScenarioError
+from .errors import ScenarioError, read_json, write_json
 from .images import GrayscaleImage
 from .loader import AcceleratorMemory
 from .scheduler import SchedulerConfig, SchedulerState, schedule
@@ -126,19 +125,9 @@ class SimulationReport:
 
     def to_dict(self) -> dict:
         doc = {
-            "policy": self.policy,
-            "frames": self.frames,
-            "avg_iou": self.avg_iou,
-            "avg_time_s": self.avg_time_s,
-            "avg_energy_j": self.avg_energy_j,
-            "avg_time_with_loads_s": self.avg_time_with_loads_s,
-            "avg_energy_with_loads_j": self.avg_energy_with_loads_j,
-            "success_rate": self.success_rate,
-            "non_gpu_fraction": self.non_gpu_fraction,
-            "model_swaps": self.model_swaps,
-            "pairs_used": self.pairs_used,
-            "total_load_time_s": self.total_load_time_s,
-            "total_load_energy_j": self.total_load_energy_j,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("per_frame", "config")
         }
         if self.config is not None:
             doc["config"] = self.config.params()
@@ -356,7 +345,9 @@ def expand_grid(grid: Mapping[str, Sequence]) -> list[SchedulerConfig]:
         raise ValueError(f"unknown sweep parameters: {', '.join(unknown)}")
     axes = []
     for name, default in SchedulerConfig().params().items():
-        values = list(grid.get(name, [default]))
+        values = grid.get(name, [default])
+        if isinstance(values, str) or not isinstance(values, Sequence):
+            raise ValueError(f"sweep parameter {name!r} must be a list, got {values!r}")
         if not values:
             raise ValueError(f"sweep parameter {name!r} has no values")
         axes.append(values)
@@ -440,12 +431,28 @@ class ModelBehavior:
     iou_mean: float
     iou_sigma: float
 
+    def __post_init__(self) -> None:
+        for name in ("conf_mean", "iou_mean"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ScenarioError(f"{name} {getattr(self, name)} outside [0, 1]")
+        for name in ("conf_sigma", "iou_sigma"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ScenarioError(f"{name} must be finite and >= 0")
+
 
 @dataclass(frozen=True)
 class Segment:
     frames: int
     models: Mapping[ModelId, ModelBehavior]
     texture_seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.frames < 1:
+            raise ScenarioError(f"frames must be >= 1, got {self.frames}")
+        if not self.models:
+            raise ScenarioError("models must be a non-empty mapping")
+        if not all(self.models):
+            raise ScenarioError("models has an empty model name")
 
 
 @dataclass(frozen=True)
@@ -455,86 +462,50 @@ class Scenario:
     height: int = 64
     emit_frames: bool = True
 
+    def __post_init__(self) -> None:
+        if self.width < 8 or self.height < 8:
+            raise ScenarioError("width/height must be >= 8")
+        if not self.segments:
+            raise ScenarioError("segments must be a non-empty list")
+
 
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
-    width = int(doc.get("width", 64))
-    height = int(doc.get("height", 64))
-    if width < 8 or height < 8:
-        raise ScenarioError("width/height must be >= 8")
-    raw_segments = doc.get("segments")
-    if not raw_segments:
-        raise ScenarioError("segments must be a non-empty list")
-    segments = []
-    for i, raw in enumerate(raw_segments):
-        where = f"segments[{i}]"
-        try:
-            frames = int(raw["frames"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError(f"{where}.frames must be an integer") from None
-        if frames < 1:
-            raise ScenarioError(f"{where}.frames must be >= 1")
-        raw_models = raw.get("models")
-        if not raw_models:
-            raise ScenarioError(f"{where}.models must be a non-empty mapping")
-        models = {}
-        for name, params in raw_models.items():
-            if not name:
-                raise ScenarioError(f"{where}.models has an empty model name")
-            for field_name in ("conf_mean", "conf_sigma", "iou_mean", "iou_sigma"):
-                if field_name not in params:
-                    raise ScenarioError(
-                        f"{where}.models[{name!r}] missing {field_name}"
-                    )
-            behavior = ModelBehavior(
-                conf_mean=float(params["conf_mean"]),
-                conf_sigma=float(params["conf_sigma"]),
-                iou_mean=float(params["iou_mean"]),
-                iou_sigma=float(params["iou_sigma"]),
-            )
-            for field_name in ("conf_mean", "iou_mean"):
-                v = getattr(behavior, field_name)
-                if not (0.0 <= v <= 1.0):
-                    raise ScenarioError(
-                        f"{where}.models[{name!r}].{field_name} outside [0, 1]"
-                    )
-            for field_name in ("conf_sigma", "iou_sigma"):
-                if getattr(behavior, field_name) < 0:
-                    raise ScenarioError(
-                        f"{where}.models[{name!r}].{field_name} must be >= 0"
-                    )
-            models[name] = behavior
-        texture_seed = raw.get("texture_seed")
-        segments.append(
-            Segment(
-                frames=frames,
-                models=models,
-                texture_seed=None if texture_seed is None else int(texture_seed),
-            )
+    where = "scenario"
+    try:
+        segments = []
+        for i, raw in enumerate(doc["segments"]):
+            where = f"segments[{i}]"
+            frames, seed = int(raw["frames"]), raw.get("texture_seed")
+            models = {}
+            for name, params in raw["models"].items():
+                where = f"segments[{i}].models[{name!r}]"
+                models[name] = ModelBehavior(
+                    *(float(params[f.name]) for f in fields(ModelBehavior))
+                )
+            where = f"segments[{i}]"
+            segments.append(Segment(frames, models, None if seed is None else int(seed)))
+        where = "scenario"
+        return Scenario(
+            segments=tuple(segments),
+            width=int(doc.get("width", 64)),
+            height=int(doc.get("height", 64)),
+            emit_frames=bool(doc.get("emit_frames", True)),
         )
-    return Scenario(
-        segments=tuple(segments),
-        width=width,
-        height=height,
-        emit_frames=bool(doc.get("emit_frames", True)),
-    )
+    # int() of an infinite number raises OverflowError.
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ScenarioError(f"{where}: {reason}") from None
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario {path} is not valid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(read_json(path, "scenario", ScenarioError))
 
 
 def demo_scenario() -> Scenario:
     """The bundled two-context scenario used by the demos and tests."""
-    text = resources.files("odsched.data").joinpath("demo_scenario.json").read_text()
-    return scenario_from_dict(json.loads(text))
+    return load_scenario(resources.files("odsched.data") / "demo_scenario.json")
 
 
 def _texture(rng: np.random.Generator, height: int, width: int) -> np.ndarray:
@@ -635,10 +606,7 @@ def gen_trace(scenario: Scenario, seed: int) -> CharacterizationTrace:
 
 
 def write_report(report: SimulationReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(report.to_dict(), path)
 
 
 def write_frames_csv(report: SimulationReport, path: str | Path) -> None:

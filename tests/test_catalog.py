@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from odsched.catalog import (
     save_trace,
 )
 from odsched.errors import CatalogError, TraceError
-from odsched.images import GrayscaleImage, write_pgm
+from odsched.images import GrayscaleImage, encode_inline, write_pgm
 from odsched.sim import demo_scenario, gen_trace
 
 # ---------------------------------------------------------------------------
@@ -184,6 +185,44 @@ def test_unknown_model_in_compatibility_rejected():
         catalog_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("profiles", 0, "avg_latency_s"), r"\(m1, gpu\): avg_latency_s must be finite"),
+        (("profiles", 0, "load_energy_j"), r"\(m1, gpu\): load_energy_j must be finite"),
+        (("energy_tolerance",), "energy_tolerance must be finite"),
+        (("accelerators", 0, "memory_bytes"), r"accelerators\[0\]: "),
+    ],
+    ids=["latency", "load_energy", "energy_tolerance", "memory_bytes"],
+)
+def test_non_finite_catalog_number_rejected(tmp_path, path, message, value):
+    doc = _minimal_doc()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cat_path = tmp_path / "cat.json"
+    cat_path.write_text(json.dumps(doc))  # NaN and Infinity tokens
+    with pytest.raises(CatalogError, match=message):
+        load_catalog(cat_path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("compatibility", ["x"], r"^compatibility: "),
+        ("accelerators", ["gpu"], r"^accelerators\[0\]: "),
+        ("models", 3, r"^models: "),
+    ],
+)
+def test_catalog_wrong_json_type_names_field(key, value, message):
+    doc = _minimal_doc()
+    doc[key] = value
+    with pytest.raises(CatalogError, match=message):
+        catalog_from_dict(doc)
+
+
 def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(CatalogError, match="cannot read"):
         load_catalog(tmp_path / "nope.json")
@@ -303,6 +342,10 @@ def test_load_trace_bad_json(tmp_path, two_model_catalog):
         ({"frame": 1, "detections": {"a": 0.5}}, "'detections.a'"),
         ({"frame": "abc", "detections": {}}, "'frame'"),
         ({"frame": 1.5, "detections": {}}, "'frame'"),
+        ({"frame": 1, "detections": {"a": {"confidence": [1], "iou": 0.0}}}, "'detections.a'"),
+        ({"frame": 1, "ground_truth": [1, 2], "detections": {}}, "'ground_truth'"),
+        ({"frame": 1, "frame_image": {"width": float("inf"), "height": 8, "pixels_b64": ""},
+          "detections": {}}, "bad frame image"),
     ],
 )
 def test_load_trace_wrong_json_type_names_line_and_field(
@@ -313,9 +356,33 @@ def test_load_trace_wrong_json_type_names_line_and_field(
         load_trace(path, two_model_catalog)
 
 
-def test_trace_pgm_frame_reference(tmp_path, two_model_catalog):
-    import numpy as np
+def _framed(index, width=8, height=8, **fields):
+    img = GrayscaleImage(np.zeros((height, width)))
+    return {"frame": index, "frame_image": encode_inline(img), "detections": {}, **fields}
 
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (_framed(1, ground_truth={"x_min": 2, "y_min": 2, "x_max": 9, "y_max": 4}),
+         r"'ground_truth' \(2.0, 2.0, 9.0, 4.0\) outside 8x8 frame"),
+        (_framed(1, detections={"a": _det(0.5, 0.1, {"x_min": 0, "y_min": 0,
+                                                     "x_max": 3, "y_max": 8.5})}),
+         r"'detections.a.box' .* outside 8x8 frame"),
+        (_framed(1, width=4), "frame is 4x8, but the first frame is 8x8"),
+    ],
+)
+def test_load_trace_checks_frame_geometry(tmp_path, two_model_catalog, record, message):
+    # A record without a frame has no geometry to check.
+    frameless = {"frame": 2, "ground_truth": {"x_min": 0, "y_min": 0, "x_max": 90, "y_max": 90}}
+    path = _write_trace(tmp_path, [_framed(0), frameless])
+    assert len(load_trace(path, two_model_catalog)) == 2
+    path = _write_trace(tmp_path, [_framed(0), record])
+    with pytest.raises(TraceError, match=f"trace.ndjson:2: {message}"):
+        load_trace(path, two_model_catalog)
+
+
+def test_trace_pgm_frame_reference(tmp_path, two_model_catalog):
     img = GrayscaleImage(np.arange(12, dtype=float).reshape(3, 4) * 20)
     write_pgm(img, tmp_path / "f0.pgm")
     path = _write_trace(

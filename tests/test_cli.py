@@ -186,6 +186,18 @@ def test_sweep_missing_grid_file(tmp_path, trace_file):
     assert code != 0
 
 
+def test_sweep_scalar_grid_value_fails_cleanly(tmp_path, trace_file, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"w_latency": 0.5}))
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--trace", trace_file, "--grid", str(grid), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: sweep parameter 'w_latency' must be a list, got 0.5\n"
+    )
+    assert not out.exists()
+
+
 def test_gen_trace_round_trips_through_loader(tmp_path):
     out = tmp_path / "t.ndjson"
     assert main(["gen-trace", "--seed", "3", "--out", str(out)]) == 0

@@ -1,0 +1,159 @@
+"""Every decoder either succeeds or raises a ValidationError.
+
+Each field of a valid catalog, scenario, prediction map and trace record is
+replaced in turn by a value of every JSON type; the decoders must never let
+another exception escape.  Where a decode fails, the message names the entry.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import numpy as np
+import pytest
+
+from conftest import make_catalog, make_profile
+from odsched.catalog import catalog_from_dict, catalog_to_dict, load_trace
+from odsched.confidence_graph import (
+    build_prediction_map,
+    prediction_map_from_dict,
+    prediction_map_to_dict,
+)
+from odsched.errors import ValidationError
+from odsched.images import GrayscaleImage, encode_inline
+from odsched.sim import gen_trace, scenario_from_dict
+
+WRONG = (None, True, 1, 1.5, "x", [], {})
+
+CATALOG = make_catalog(
+    [make_profile("a", "gpu", 0.1, 10.0), make_profile("b", "gpu", 0.2, 10.0)]
+)
+
+SCENARIO = {
+    "width": 16,
+    "height": 16,
+    "emit_frames": False,
+    "segments": [
+        {
+            "frames": 6,
+            "texture_seed": 3,
+            "models": {
+                "a": {"conf_mean": 0.8, "conf_sigma": 0.1, "iou_mean": 0.6, "iou_sigma": 0.1},
+                "b": {"conf_mean": 0.4, "conf_sigma": 0.1, "iou_mean": 0.3, "iou_sigma": 0.1},
+            },
+        }
+    ],
+}
+
+_BOX = {"x_min": 1.0, "y_min": 1.0, "x_max": 5.0, "y_max": 5.0}
+RECORD = {
+    "frame": 0,
+    "ground_truth": _BOX,
+    "frame_image": encode_inline(GrayscaleImage(np.arange(64.0).reshape(8, 8))),
+    "detections": {"a": {"confidence": 0.5, "iou": 0.4, "box": _BOX}},
+}
+
+
+def _valid(kind: str):
+    if kind == "catalog":
+        return catalog_to_dict(CATALOG)
+    if kind == "scenario":
+        return SCENARIO
+    if kind == "prediction map":
+        trace = gen_trace(scenario_from_dict(SCENARIO), 0)
+        return prediction_map_to_dict(build_prediction_map(trace))
+    return RECORD
+
+
+def _decode(kind: str, doc, tmp_path) -> None:
+    if kind == "catalog":
+        catalog_from_dict(doc)
+    elif kind == "scenario":
+        scenario_from_dict(doc)
+    elif kind == "prediction map":
+        prediction_map_from_dict(doc)
+    else:
+        path = tmp_path / "trace.ndjson"
+        path.write_text(json.dumps(doc) + "\n")
+        load_trace(path, CATALOG)
+
+
+def _paths(node, prefix=()):
+    """Every field of `node`, descending into each object and into the first
+    entry of each list."""
+    if isinstance(node, dict):
+        keys = list(node)
+    else:
+        keys = [0] if isinstance(node, list) and node else []
+    for key in keys:
+        yield prefix + (key,)
+        yield from _paths(node[key], prefix + (key,))
+
+
+_DELETE = object()
+
+
+def _replaced(doc, path, value):
+    """`doc` with the field at `path` set to `value`, or removed by _DELETE."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+KINDS = ("catalog", "scenario", "prediction map", "trace record")
+CASES = [
+    pytest.param(kind, path, id=f"{kind}:{'.'.join(map(str, path)) or '<document>'}")
+    for kind in KINDS
+    for path in [(), *_paths(_valid(kind))]
+]
+
+
+def test_valid_documents_decode(tmp_path):
+    for kind in KINDS:
+        _decode(kind, _valid(kind), tmp_path)
+
+
+@pytest.mark.parametrize("kind, path", CASES)
+def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path):
+    valid = _valid(kind)
+    for value in WRONG:
+        try:
+            _decode(kind, _replaced(valid, path, value), tmp_path)
+        except ValidationError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{kind} {path} = {value!r}: {type(exc).__name__}: {exc}")
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, message",
+    [
+        ("catalog", ("profiles", 0, "avg_power_w"), _DELETE,
+         r"^profiles\[0\]: missing key 'avg_power_w'$"),
+        ("catalog", ("profiles", 1), dict(catalog_to_dict(CATALOG)["profiles"][0]),
+         r"^profiles\[1\]: duplicate profile for pair \(a, gpu\)$"),
+        ("scenario", ("segments", 0, "models", "a", "conf_mean"), _DELETE,
+         r"^segments\[0\]\.models\['a'\]: missing key 'conf_mean'$"),
+        ("scenario", ("segments", 0, "models", "b", "iou_sigma"), float("nan"),
+         r"^segments\[0\]\.models\['b'\]: iou_sigma must be finite and >= 0$"),
+        ("scenario", ("segments", 0, "frames"), 0, r"^segments\[0\]: frames must be >= 1"),
+        ("scenario", ("segments", 0, "models"), {}, r"^segments\[0\]: models must be"),
+        ("scenario", ("width",), 4, r"^scenario: width/height must be >= 8$"),
+        ("prediction map", ("entries", 0, "node"), _DELETE,
+         r"^entries\[0\]: missing key 'node'$"),
+        ("prediction map", ("arcs", 0, "from"), ["a"], r"^arcs\[0\]: "),
+        ("prediction map", ("nodes", 0, "samples"), "x", r"^nodes\[0\]: "),
+    ],
+)
+def test_decode_error_names_the_entry(kind, path, value, message, tmp_path):
+    with pytest.raises(ValidationError, match=message):
+        _decode(kind, _replaced(_valid(kind), path, value), tmp_path)

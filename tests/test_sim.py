@@ -338,6 +338,12 @@ def test_sweep_unknown_parameter_rejected():
         expand_grid([1, 2])
 
 
+@pytest.mark.parametrize("value", [0.5, "0.5", None], ids=["float", "str", "null"])
+def test_sweep_grid_value_must_be_a_list(value):
+    with pytest.raises(ValueError, match=f"'w_latency' must be a list, got {value!r}"):
+        expand_grid({"w_latency": value})
+
+
 def test_sweep_correlations_shape(builtin, demo_trace):
     results = sweep(demo_trace, builtin, {"w_energy": [0.0, 0.5, 1.0]})
     summary = sweep_correlations(results)
