@@ -386,103 +386,108 @@ def _box_to_dict(box: BoundingBox) -> dict:
 
 
 def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
-    """Load a newline-delimited trace, validating against the catalog."""
+    """Load a newline-delimited trace, validating against the catalog.
+
+    The file is read one line at a time, so only one record's text is held
+    in memory beside the decoded frames.
+    """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        fh = path.open("rb")
+    except OSError as exc:
         raise TraceError(f"cannot read trace {path}: {exc}") from exc
 
     known = set(catalog.models)
     frames: list[FrameRecord] = []
     last_index = -1
     size = None  # (width, height) of the first frame; every frame must match
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(rec, dict):
-            raise TraceError(f"{where}: record must be a JSON object")
-        if "frame" not in rec:
-            raise TraceError(f"{where}: record missing 'frame'")
-        frame_index = rec["frame"]
-        if type(frame_index) is not int:
-            raise TraceError(f"{where}: 'frame' must be an integer, got {frame_index!r}")
-        if frame_index <= last_index:
-            raise TraceError(
-                f"{where}: frame index {frame_index} not strictly increasing"
-            )
-        last_index = frame_index
-
-        gt = None
-        if rec.get("ground_truth") is not None:
-            gt = _box_from_dict(rec["ground_truth"], f"{where}: 'ground_truth'")
-
-        image = None
-        raw_img = rec.get("frame_image")
-        if raw_img is not None:
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
             try:
-                if isinstance(raw_img, str):
-                    image = read_pgm(path.parent / raw_img)
-                else:
-                    image = decode_inline(raw_img)
-            except (OSError, ValueError) as exc:
-                raise TraceError(f"{where}: bad frame image: {exc}") from exc
-
-        raw_dets = rec.get("detections", {})
-        if not isinstance(raw_dets, dict):
-            raise TraceError(f"{where}: 'detections' must be a JSON object")
-        detections: dict[str, DetectionOutcome] = {}
-        for model, det in raw_dets.items():
-            if model not in known:
-                raise TraceError(f"{where}: unknown model {model!r}")
-            if not isinstance(det, dict):
-                raise TraceError(f"{where}: 'detections.{model}' must be a JSON object")
-            box = None
-            if det.get("box") is not None:
-                box = _box_from_dict(det["box"], f"{where}: 'detections.{model}.box'")
-            try:
-                outcome = DetectionOutcome(
-                    confidence=float(det["confidence"]),
-                    iou=float(det["iou"]),
-                    box=box,
-                )
-            except KeyError as exc:
-                raise TraceError(f"{where}: detection missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # also undecodable bytes
+                raise TraceError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(rec, dict):
+                raise TraceError(f"{where}: record must be a JSON object")
+            if "frame" not in rec:
+                raise TraceError(f"{where}: record missing 'frame'")
+            frame_index = rec["frame"]
+            if type(frame_index) is not int:
+                raise TraceError(f"{where}: 'frame' must be an integer, got {frame_index!r}")
+            if frame_index <= last_index:
                 raise TraceError(
-                    f"{where}: frame {frame_index}: 'detections.{model}': {exc}"
-                ) from None
-            detections[model] = outcome
-
-        if image is not None:
-            size = size or (image.width, image.height)
-            if (image.width, image.height) != size:
-                raise TraceError(
-                    f"{where}: frame is {image.width}x{image.height}, "
-                    f"but the first frame is {size[0]}x{size[1]}"
+                    f"{where}: frame index {frame_index} not strictly increasing"
                 )
-            boxes = {"ground_truth": gt}
-            boxes.update((f"detections.{m}.box", d.box) for m, d in detections.items())
-            for name, box in boxes.items():
-                if box is not None and (box.x_max > size[0] or box.y_max > size[1]):
-                    raise TraceError(
-                        f"{where}: '{name}' ({box.x_min}, {box.y_min}, {box.x_max}, "
-                        f"{box.y_max}) outside {size[0]}x{size[1]} frame"
+            last_index = frame_index
+
+            gt = None
+            if rec.get("ground_truth") is not None:
+                gt = _box_from_dict(rec["ground_truth"], f"{where}: 'ground_truth'")
+
+            image = None
+            raw_img = rec.get("frame_image")
+            if raw_img is not None:
+                try:
+                    if isinstance(raw_img, str):
+                        image = read_pgm(path.parent / raw_img)
+                    else:
+                        image = decode_inline(raw_img)
+                except (OSError, ValueError) as exc:
+                    raise TraceError(f"{where}: bad frame image: {exc}") from exc
+
+            raw_dets = rec.get("detections", {})
+            if not isinstance(raw_dets, dict):
+                raise TraceError(f"{where}: 'detections' must be a JSON object")
+            detections: dict[str, DetectionOutcome] = {}
+            for model, det in raw_dets.items():
+                if model not in known:
+                    raise TraceError(f"{where}: unknown model {model!r}")
+                if not isinstance(det, dict):
+                    raise TraceError(f"{where}: 'detections.{model}' must be a JSON object")
+                box = None
+                if det.get("box") is not None:
+                    box = _box_from_dict(det["box"], f"{where}: 'detections.{model}.box'")
+                try:
+                    outcome = DetectionOutcome(
+                        confidence=float(det["confidence"]),
+                        iou=float(det["iou"]),
+                        box=box,
                     )
+                except KeyError as exc:
+                    raise TraceError(f"{where}: detection missing key {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise TraceError(
+                        f"{where}: frame {frame_index}: 'detections.{model}': {exc}"
+                    ) from None
+                detections[model] = outcome
 
-        frames.append(
-            FrameRecord(
-                frame_index=frame_index,
-                per_model=detections,
-                ground_truth=gt,
-                frame=image,
+            if image is not None:
+                size = size or (image.width, image.height)
+                if (image.width, image.height) != size:
+                    raise TraceError(
+                        f"{where}: frame is {image.width}x{image.height}, "
+                        f"but the first frame is {size[0]}x{size[1]}"
+                    )
+                boxes = {"ground_truth": gt}
+                boxes.update((f"detections.{m}.box", d.box) for m, d in detections.items())
+                for name, box in boxes.items():
+                    if box is not None and (box.x_max > size[0] or box.y_max > size[1]):
+                        raise TraceError(
+                            f"{where}: '{name}' ({box.x_min}, {box.y_min}, {box.x_max}, "
+                            f"{box.y_max}) outside {size[0]}x{size[1]} frame"
+                        )
+
+            frames.append(
+                FrameRecord(
+                    frame_index=frame_index,
+                    per_model=detections,
+                    ground_truth=gt,
+                    frame=image,
+                )
             )
-        )
     return CharacterizationTrace(frames=tuple(frames))
 
 

@@ -343,7 +343,11 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
     where = "prediction map"
     try:
         width = float(doc["bucket_width"])
+        if not 0.0 < width <= 1.0:  # NaN fails too
+            raise ValueError(f"'bucket_width' {width} outside (0, 1]")
         threshold = float(doc["distance_threshold"])
+        if not (math.isfinite(threshold) and threshold >= 0.0):
+            raise ValueError(f"'distance_threshold' {threshold} must be finite and >= 0")
         nodes: dict[NodeKey, GraphNode] = {}
         for i, n in enumerate(doc["nodes"]):
             where = f"nodes[{i}]"

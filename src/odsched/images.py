@@ -1,7 +1,10 @@
 """Grayscale frame images: in-memory representation plus PGM and base64 I/O.
 
-Pixels are stored as float64 in [0, 255] so that correlation math runs
-without per-call casts; file formats are 8-bit.
+File formats are 8-bit, and a frame decoded from one (or made by
+``sim.gen_trace``) keeps its pixels as ``uint8``: one byte per pixel, an
+eighth of a float64 copy.  An array of any other dtype is converted to float64
+and checked to lie in [0, 255].  Correlation math reads either dtype and
+accumulates in float64.
 """
 
 from __future__ import annotations
@@ -20,13 +23,17 @@ class GrayscaleImage:
     pixels: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.asarray(self.pixels)
+        is_bytes = px.dtype == np.uint8
+        if not is_bytes:
+            px = np.asarray(px, dtype=np.float64)
         if px.ndim != 2 or px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError(f"image must be a 2-D array, got shape {px.shape}")
-        if not np.all(np.isfinite(px)):
-            raise ValueError("image contains non-finite intensities")
-        if px.min() < 0.0 or px.max() > 255.0:
-            raise ValueError("image intensities must lie in [0, 255]")
+        if not is_bytes:  # every byte already lies in [0, 255]
+            if not np.all(np.isfinite(px)):
+                raise ValueError("image contains non-finite intensities")
+            if px.min() < 0.0 or px.max() > 255.0:
+                raise ValueError("image intensities must lie in [0, 255]")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -45,11 +52,12 @@ class GrayscaleImage:
             raise ValueError(
                 f"pixel count {len(raw)} does not match {width}x{height}"
             )
-        px = np.frombuffer(raw, dtype=np.uint8).reshape(height, width)
-        return cls(px.astype(np.float64))
+        return cls(np.frombuffer(raw, dtype=np.uint8).reshape(height, width))
 
     def to_bytes(self) -> bytes:
-        """Quantize to 8-bit (round-half-even) and return row-major bytes."""
+        """Row-major 8-bit bytes; float pixels are rounded half-to-even."""
+        if self.pixels.dtype == np.uint8:
+            return self.pixels.tobytes()
         return np.rint(self.pixels).astype(np.uint8).tobytes()
 
 

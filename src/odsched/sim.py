@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -250,6 +250,12 @@ def _run(
         if pm is None:
             pm = build_prediction_map(
                 trace, config.bucket_width, config.distance_threshold
+            )
+        else:  # report the graph parameters the given map was built with
+            config = replace(
+                config,
+                bucket_width=pm.bucket_width,
+                distance_threshold=pm.distance_threshold,
             )
         state = SchedulerState(catalog, pm, config, memo=memo)
         if prefill:
@@ -555,7 +561,7 @@ def gen_trace(scenario: Scenario, seed: int) -> CharacterizationTrace:
             if scenario.emit_frames:
                 noise = rng.normal(0.0, 2.0, size=(height, width))
                 pixels = np.clip(np.rint(base + noise), 0.0, 255.0)
-                image = GrayscaleImage(pixels)
+                image = GrayscaleImage(pixels.astype(np.uint8))
             cx = min(max(cx + drift[0], box_w / 2.0), width - box_w / 2.0)
             cy = min(max(cy + drift[1], box_h / 2.0), height - box_h / 2.0)
             gt = BoundingBox(

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,9 +330,10 @@ def test_load_trace_iou_without_box(tmp_path, two_model_catalog):
 
 def test_load_trace_bad_json(tmp_path, two_model_catalog):
     path = tmp_path / "t.ndjson"
-    path.write_text('{"frame": 0}\nnot json\n')
-    with pytest.raises(TraceError, match="invalid JSON"):
-        load_trace(path, two_model_catalog)
+    for line in (b"not json", b'{"frame": 1, "x": "\xff"}'):  # the second is not UTF-8
+        path.write_bytes(b'{"frame": 0}\n' + line + b"\n")
+        with pytest.raises(TraceError, match="t.ndjson:2: invalid JSON"):
+            load_trace(path, two_model_catalog)
 
 
 @pytest.mark.parametrize(
@@ -380,6 +382,42 @@ def test_load_trace_checks_frame_geometry(tmp_path, two_model_catalog, record, m
     path = _write_trace(tmp_path, [_framed(0), record])
     with pytest.raises(TraceError, match=f"trace.ndjson:2: {message}"):
         load_trace(path, two_model_catalog)
+
+
+def test_load_trace_holds_one_line_of_text(tmp_path, two_model_catalog):
+    # 60 inline 320x240 frames: the decoded bytes are 1 byte per pixel, so a
+    # peak under 2 leaves no room for the file's text or a float64 frame.
+    rng = np.random.default_rng(4)
+    frames = (rng.integers(0, 256, size=(240, 320), dtype=np.uint8) for _ in range(60))
+    records = [
+        {"frame": i, "frame_image": encode_inline(GrayscaleImage(px)), "detections": {}}
+        for i, px in enumerate(frames)
+    ]
+    path = _write_trace(tmp_path, records)
+    tracemalloc.start()
+    try:
+        trace = load_trace(path, two_model_catalog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 60
+    assert peak / (60 * 320 * 240) < 2.0
+
+
+def test_load_trace_crlf_equals_lf(tmp_path, two_model_catalog):
+    box = {"x_min": 0, "y_min": 0, "x_max": 5, "y_max": 5}
+    records = [_framed(0, ground_truth=box), {"frame": 1, "detections": {"a": _det(0.5, 0.0)}},
+               _framed(2, detections={"b": _det(0.6, 0.5, box)})]
+    lf, crlf = tmp_path / "lf.ndjson", tmp_path / "crlf.ndjson"
+    lf.write_bytes(b"".join(json.dumps(r).encode() + b"\n" for r in records))
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = load_trace(lf, two_model_catalog), load_trace(crlf, two_model_catalog)
+    assert [(f.frame_index, f.per_model, f.ground_truth) for f in a.frames] == [
+        (f.frame_index, f.per_model, f.ground_truth) for f in b.frames
+    ]
+    assert [f.frame is None or f.frame.to_bytes() for f in a.frames] == [
+        f.frame is None or f.frame.to_bytes() for f in b.frames
+    ]
 
 
 def test_trace_pgm_frame_reference(tmp_path, two_model_catalog):

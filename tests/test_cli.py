@@ -139,6 +139,37 @@ def test_simulate_with_prebuilt_graph_matches_inline(tmp_path, trace_file):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_graph_reports_the_maps_parameters(tmp_path, trace_file):
+    pm_path = tmp_path / "pm.json"
+    assert main(
+        ["build-graph", "--trace", trace_file, "--bucket-width", "0.2",
+         "--distance", "0.3", "--out", str(pm_path)]
+    ) == 0
+    out = tmp_path / "r.json"
+    assert main(
+        ["simulate", "--trace", trace_file, "--graph", str(pm_path), "--out", str(out)]
+    ) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["bucket_width"], config["distance_threshold"]) == (0.2, 0.3)
+
+
+def test_simulate_graph_with_bad_bucket_width_fails_before_writing(
+    tmp_path, trace_file, capsys
+):
+    pm_path = tmp_path / "pm.json"
+    assert main(["build-graph", "--trace", trace_file, "--out", str(pm_path)]) == 0
+    doc = json.loads(pm_path.read_text())
+    doc["bucket_width"] = 2.0
+    pm_path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code = main(
+        ["simulate", "--trace", trace_file, "--graph", str(pm_path), "--out", str(out)]
+    )
+    assert code == 1
+    assert "'bucket_width' 2.0 outside (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_two_by_two(tmp_path, trace_file, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"w_accuracy": [0.5, 1.0], "w_energy": [0.0, 1.0]}))

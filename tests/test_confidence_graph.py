@@ -19,11 +19,13 @@ from odsched.confidence_graph import (
     neighborhood,
     normalize_invert,
     predict,
+    prediction_map_from_dict,
     prediction_map_to_dict,
     prune_sparse_nodes,
     save_prediction_map,
     EPSILON,
 )
+from odsched.errors import ValidationError
 
 # ---------------------------------------------------------------------------
 # buckets
@@ -369,6 +371,26 @@ def test_prediction_map_file_validation(tmp_path, demo_trace):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="malformed"):
         load_prediction_map(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("bucket_width", 2.0),
+        ("bucket_width", 0.0),
+        ("bucket_width", -0.1),
+        ("bucket_width", float("nan")),
+        ("distance_threshold", -0.1),
+        ("distance_threshold", float("nan")),
+        ("distance_threshold", float("inf")),
+    ],
+)
+def test_prediction_map_graph_parameters_checked_at_load(demo_trace, field, value):
+    doc = prediction_map_to_dict(build_prediction_map(demo_trace))
+    assert prediction_map_from_dict(doc).bucket_width == 0.1
+    doc[field] = value
+    with pytest.raises(ValidationError, match=f"prediction map: '{field}' {value}"):
+        prediction_map_from_dict(doc)
 
 
 def test_raising_threshold_never_shrinks_neighborhoods(demo_trace):

@@ -87,6 +87,25 @@ def test_cached_path_matches_plain():
         assert ncc_cached(FrameStats(a), FrameStats(b)) == ncc(a, b)
 
 
+def test_uint8_frames_match_float64_copies(demo_trace):
+    # Byte frames are summed and centred in float64, exactly like their copies.
+    frames = [fr.frame for fr in demo_trace.frames[140:160]]
+    rng = np.random.default_rng(9)
+    frames += [GrayscaleImage(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
+               for _ in range(4)]
+    frames.append(GrayscaleImage(np.full((64, 64), 7, dtype=np.uint8)))
+    wide = [GrayscaleImage(f.pixels.astype(np.float64)) for f in frames]
+    assert {f.pixels.dtype for f in frames} == {np.dtype(np.uint8)}
+    boxes = [BoundingBox(3.5, 2.25, 40.0, 33.7), BoundingBox(10.0, 12.0, 64.0, 30.5)]
+    for i in range(1, len(frames)):
+        p, c, pw, cw = frames[i - 1], frames[i], wide[i - 1], wide[i]
+        assert ncc(p, c) == ncc(pw, cw)
+        assert ncc_cached(FrameStats(p), FrameStats(c)) == ncc(pw, cw)
+        for a in boxes:
+            for b in boxes:
+                assert bbox_similarity(p, a, c, b) == bbox_similarity(pw, a, cw, b)
+
+
 # ---------------------------------------------------------------------------
 # box similarity
 

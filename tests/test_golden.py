@@ -2,8 +2,10 @@
 
 The digests guard refactors of the replay loop and of the scheduler
 parameter handling: any change to a report, a per-frame CSV, a sweep CSV or
-a sweep summary shows up here.  `--help` text is not pinned, because
-argparse formats it differently across Python versions.
+a sweep summary shows up here.  The trace file itself is pinned too, so a
+change to how frames are generated or held in memory cannot alter what is
+written.  `--help` text is not pinned, because argparse formats it
+differently across Python versions.
 """
 
 from __future__ import annotations
@@ -11,11 +13,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from odsched.cli import main
 from odsched.scheduler import SchedulerConfig
+
+# sha256 of the `gen-trace --seed 3` file every test below replays.
+TRACE_DIGEST = "3df766871f3b3d064cfcf87273b17512e008b39c9e27580e7044c0691b8c401e"
 
 SIMULATE_DIGESTS = {
     # --policy argument -> sha256 of (report JSON, frames CSV, timeline CSV)
@@ -75,6 +81,10 @@ def trace_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "seed3.ndjson"
     assert main(["gen-trace", "--seed", "3", "--out", str(path)]) == 0
     return str(path)
+
+
+def test_trace_file_is_pinned(trace_file):
+    assert _sha256(Path(trace_file)) == TRACE_DIGEST
 
 
 def _simulate(tmp_path, trace_file, *extra):

@@ -22,8 +22,26 @@ def test_validation():
         GrayscaleImage(np.zeros(4))
     with pytest.raises(ValueError, match="\\[0, 255\\]"):
         GrayscaleImage(np.full((2, 2), 300.0))
+    with pytest.raises(ValueError, match="\\[0, 255\\]"):
+        GrayscaleImage(np.full((2, 2), 256, dtype=np.int16))
     with pytest.raises(ValueError, match="non-finite"):
         GrayscaleImage(np.full((2, 2), np.nan))
+
+
+def test_eight_bit_sources_stay_uint8(tmp_path):
+    raw = bytes(range(256)) * 3
+    img = GrayscaleImage.from_bytes(32, 24, raw)
+    write_pgm(img, tmp_path / "x.pgm")
+    for decoded in (img, decode_inline(encode_inline(img)), read_pgm(tmp_path / "x.pgm")):
+        assert decoded.pixels.dtype == np.uint8
+        assert decoded.to_bytes() == raw
+    given = np.zeros((2, 3), dtype=np.uint8)
+    assert GrayscaleImage(given).pixels is given
+
+
+def test_other_dtypes_become_float64():
+    assert GrayscaleImage(np.zeros((2, 2), dtype=np.int64)).pixels.dtype == np.float64
+    assert GrayscaleImage([[0.5, 255.0]]).pixels.dtype == np.float64
 
 
 def test_from_bytes_size_check():

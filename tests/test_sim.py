@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from conftest import make_catalog, make_profile, make_trace
@@ -388,6 +389,10 @@ def test_gen_trace_deterministic_bytes():
     assert b1 != "\n".join(
         json.dumps(frame_to_dict(f), sort_keys=True) for f in gen_trace(demo_scenario(), 6).frames
     )
+
+
+def test_gen_trace_frames_are_uint8(demo_trace):
+    assert {fr.frame.pixels.dtype for fr in demo_trace.frames} == {np.dtype(np.uint8)}
 
 
 def test_gen_trace_context_shift_at_boundary(demo_trace):
