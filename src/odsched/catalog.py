@@ -46,7 +46,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import CatalogError, TraceError, read_json, write_json
+from .errors import (
+    DECODE_ERRORS,
+    CatalogError,
+    TraceError,
+    decode_error,
+    read_json,
+    write_json,
+)
 from .images import GrayscaleImage, decode_inline, encode_inline, read_pgm
 
 ModelId = str
@@ -173,9 +180,6 @@ class Catalog:
     def is_compatible(self, model: ModelId, accelerator: AcceleratorId) -> bool:
         return (model, accelerator) in self.compatibility
 
-    def compatible_pairs(self) -> tuple[Pair, ...]:
-        return tuple(sorted(self.compatibility))
-
     def profiled_pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(self.profiles))
 
@@ -184,9 +188,6 @@ class Catalog:
             return self.profiles[(model, accelerator)]
         except KeyError:
             raise KeyError(f"no profile for pair ({model}, {accelerator})") from None
-
-    def accelerators_for(self, model: ModelId) -> tuple[AcceleratorId, ...]:
-        return tuple(a for m, a in self.profiled_pairs() if m == model)
 
     def gpu_accelerators(self) -> frozenset[AcceleratorId]:
         return frozenset(a.name for a in self.accelerators.values() if a.is_gpu)
@@ -267,10 +268,8 @@ def catalog_from_dict(doc: dict) -> Catalog:
                     f"duplicate profile for pair ({prof.model}, {prof.accelerator})"
                 )
             profiles[prof.pair] = prof
-    # int() of an infinite number raises OverflowError.
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise CatalogError(f"{where}: {reason}") from None
+    except DECODE_ERRORS as exc:
+        raise decode_error(CatalogError, where, exc) from None
     return Catalog(
         accelerators=accelerators,
         models=models,
@@ -282,7 +281,7 @@ def catalog_from_dict(doc: dict) -> Catalog:
 
 def catalog_to_dict(cat: Catalog) -> dict:
     compat: dict[str, list[str]] = {}
-    for model, accel in cat.compatible_pairs():
+    for model, accel in sorted(cat.compatibility):
         compat.setdefault(model, []).append(accel)
     return {
         "energy_tolerance": cat.energy_tolerance,
@@ -362,18 +361,8 @@ class CharacterizationTrace:
         return tuple(sorted(seen))
 
 
-def _box_from_dict(obj: dict, where: str) -> BoundingBox:
-    try:
-        return BoundingBox(
-            x_min=float(obj["x_min"]),
-            y_min=float(obj["y_min"]),
-            x_max=float(obj["x_max"]),
-            y_max=float(obj["y_max"]),
-        )
-    except KeyError as exc:
-        raise TraceError(f"{where}: box missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"{where}: {exc}") from None
+def _box_from_dict(obj: dict) -> BoundingBox:
+    return BoundingBox(*(float(obj[k]) for k in ("x_min", "y_min", "x_max", "y_max")))
 
 
 def _box_to_dict(box: BoundingBox) -> dict:
@@ -410,59 +399,42 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                 rec = json.loads(line.decode("utf-8"))
             except ValueError as exc:  # also undecodable bytes
                 raise TraceError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(rec, dict):
-                raise TraceError(f"{where}: record must be a JSON object")
-            if "frame" not in rec:
-                raise TraceError(f"{where}: record missing 'frame'")
-            frame_index = rec["frame"]
-            if type(frame_index) is not int:
-                raise TraceError(f"{where}: 'frame' must be an integer, got {frame_index!r}")
-            if frame_index <= last_index:
-                raise TraceError(
-                    f"{where}: frame index {frame_index} not strictly increasing"
-                )
-            last_index = frame_index
-
-            gt = None
-            if rec.get("ground_truth") is not None:
-                gt = _box_from_dict(rec["ground_truth"], f"{where}: 'ground_truth'")
-
-            image = None
-            raw_img = rec.get("frame_image")
-            if raw_img is not None:
-                try:
-                    if isinstance(raw_img, str):
-                        image = read_pgm(path.parent / raw_img)
-                    else:
-                        image = decode_inline(raw_img)
-                except (OSError, ValueError) as exc:
-                    raise TraceError(f"{where}: bad frame image: {exc}") from exc
-
-            raw_dets = rec.get("detections", {})
-            if not isinstance(raw_dets, dict):
-                raise TraceError(f"{where}: 'detections' must be a JSON object")
-            detections: dict[str, DetectionOutcome] = {}
-            for model, det in raw_dets.items():
-                if model not in known:
-                    raise TraceError(f"{where}: unknown model {model!r}")
-                if not isinstance(det, dict):
-                    raise TraceError(f"{where}: 'detections.{model}' must be a JSON object")
-                box = None
-                if det.get("box") is not None:
-                    box = _box_from_dict(det["box"], f"{where}: 'detections.{model}.box'")
-                try:
-                    outcome = DetectionOutcome(
-                        confidence=float(det["confidence"]),
-                        iou=float(det["iou"]),
-                        box=box,
+            field = "record"
+            try:
+                if not isinstance(rec, dict):
+                    raise ValueError("must be a JSON object")
+                field = "'frame'"
+                index = rec["frame"]
+                if type(index) is not int:
+                    raise ValueError(f"must be an integer, got {index!r}")
+                if index <= last_index:
+                    raise ValueError(f"{index} not strictly increasing")
+                field = "'ground_truth'"
+                gt = rec.get("ground_truth")
+                gt = None if gt is None else _box_from_dict(gt)
+                field = "bad frame image"
+                image = rec.get("frame_image")
+                if isinstance(image, str):
+                    image = read_pgm(path.parent / image)
+                elif image is not None:
+                    image = decode_inline(image)
+                field = "'detections'"
+                detections: dict[str, DetectionOutcome] = {}
+                for model, det in rec.get("detections", {}).items():
+                    entry = field = f"frame {index}: 'detections.{model}'"
+                    if model not in known:
+                        raise ValueError("model not in the catalog")
+                    box = det.get("box")
+                    if box is not None:
+                        field = f"'detections.{model}.box'"
+                        box = _box_from_dict(box)
+                        field = entry
+                    detections[model] = DetectionOutcome(
+                        float(det["confidence"]), float(det["iou"]), box
                     )
-                except KeyError as exc:
-                    raise TraceError(f"{where}: detection missing key {exc}") from None
-                except (TypeError, ValueError) as exc:
-                    raise TraceError(
-                        f"{where}: frame {frame_index}: 'detections.{model}': {exc}"
-                    ) from None
-                detections[model] = outcome
+            except (*DECODE_ERRORS, OSError) as exc:  # OSError: an unreadable PGM
+                raise decode_error(TraceError, f"{where}: {field}", exc) from None
+            last_index = index
 
             if image is not None:
                 size = size or (image.width, image.height)
@@ -480,14 +452,7 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                             f"{box.y_max}) outside {size[0]}x{size[1]} frame"
                         )
 
-            frames.append(
-                FrameRecord(
-                    frame_index=frame_index,
-                    per_model=detections,
-                    ground_truth=gt,
-                    frame=image,
-                )
-            )
+            frames.append(FrameRecord(index, detections, gt, image))
     return CharacterizationTrace(frames=tuple(frames))
 
 

@@ -68,28 +68,6 @@ def _add_scheduler_flags(p: argparse.ArgumentParser) -> None:
                        help=f"{text} (default {default})")
 
 
-def _parse_policy(text: str, config: SchedulerConfig) -> sim.Policy:
-    if text == "shift":
-        return sim.Policy.shift(config)
-    if text == "oracle-e":
-        return sim.Policy.oracle("energy")
-    if text == "oracle-a":
-        return sim.Policy.oracle("accuracy")
-    if text == "oracle-l":
-        return sim.Policy.oracle("latency")
-    if text.startswith("single:"):
-        parts = text.split(":")
-        if len(parts) != 3 or not parts[1] or not parts[2]:
-            raise ValidationError(
-                f"bad single policy {text!r}, expected single:<model>:<accelerator>"
-            )
-        return sim.Policy.single(parts[1], parts[2])
-    raise ValidationError(
-        f"unknown policy {text!r}; use shift, single:<model>:<accel>, "
-        "oracle-e, oracle-a, or oracle-l"
-    )
-
-
 def _cmd_build_graph(args: argparse.Namespace) -> int:
     # Checks both values before any I/O.
     config = SchedulerConfig(bucket_width=args.bucket_width,
@@ -108,7 +86,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    policy = _parse_policy(args.policy, SchedulerConfig.from_params(vars(args)))
+    policy = sim.Policy.parse(args.policy, SchedulerConfig.from_params(vars(args)))
     catalog = _resolve_catalog(args.catalog)
     trace = _resolve_trace(args.trace, catalog)
     prediction_map = load_prediction_map(args.graph) if args.graph else None

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .catalog import CharacterizationTrace, ModelId
-from .errors import ValidationError, read_json, write_json
+from .errors import DECODE_ERRORS, ValidationError, decode_error, read_json, write_json
 
 # Inverse-distance weighting floor; keeps the distance-0 self node finite
 # but dominant.
@@ -372,10 +372,8 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
                 )
                 for p in e["predictions"]
             )
-    # int() of an infinite number raises OverflowError.
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValidationError(f"{where}: {reason}") from None
+    except DECODE_ERRORS as exc:
+        raise decode_error(ValidationError, where, exc) from None
     missing = sorted(set(nodes) - set(entries))
     if missing:
         raise ValidationError(f"prediction map node {missing[0]} has no entry")

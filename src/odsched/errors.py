@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and its JSON file layer.
+"""Exception types shared across the package, its decoder contract and its
+JSON file layer.
+
+Every decoder runs in one `try` that labels the field it is decoding; any of
+`DECODE_ERRORS` there is malformed input, which `decode_error` reports.
 
 Every whole-file JSON input is parsed by `read_json`, which reports an
 unreadable or unparsable file as the caller's `ValidationError` subclass.
@@ -28,6 +32,18 @@ class TraceError(ValidationError):
 
 class ScenarioError(ValidationError):
     """Synthetic trace scenario description is malformed."""
+
+
+# int() of an infinite number raises OverflowError.
+DECODE_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def decode_error(
+    error: type[ValidationError], where: str, exc: Exception
+) -> ValidationError:
+    """`exc`, raised while decoding `where`, as an `error` naming `where`."""
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return error(f"{where}: {reason}")
 
 
 def read_json(path: str | Path, what: str, error: type[ValidationError]) -> Any:

@@ -71,13 +71,10 @@ def encode_inline(img: GrayscaleImage) -> dict:
 
 
 def decode_inline(obj: dict) -> GrayscaleImage:
-    try:
-        width = int(obj["width"])
-        height = int(obj["height"])
-        raw = base64.b64decode(obj["pixels_b64"], validate=True)
-    # int() of an infinite number raises OverflowError.
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad inline image block: {exc}") from exc
+    """Inverse of `encode_inline`; a malformed block raises one of
+    `errors.DECODE_ERRORS`."""
+    width, height = int(obj["width"]), int(obj["height"])
+    raw = base64.b64decode(obj["pixels_b64"], validate=True)
     return GrayscaleImage.from_bytes(width, height, raw)
 
 

@@ -43,9 +43,6 @@ class AcceleratorMemory:
         """Resident models, least recently requested first."""
         return tuple(self._resident)
 
-    def is_resident(self, model: ModelId) -> bool:
-        return model in self._resident
-
     def request(self, model: ModelId, catalog: Catalog) -> LoadOutcome:
         """Make `model` resident, evicting least-recently-requested models
         as needed, and report what it cost."""

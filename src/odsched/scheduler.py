@@ -20,8 +20,9 @@ selects the winner.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from .catalog import BoundingBox, Catalog, ModelId, Pair
@@ -39,10 +40,11 @@ class Knobs:
     w_latency: float = 0.5
 
     def __post_init__(self) -> None:
-        weights = (self.w_accuracy, self.w_energy, self.w_latency)
-        if any(w < 0 for w in weights):
-            raise ValueError(f"knob weights must be non-negative, got {weights}")
-        if not any(w > 0 for w in weights):
+        weights = asdict(self)
+        for name, w in weights.items():
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {w}")
+        if not any(w > 0 for w in weights.values()):
             raise ValueError("at least one knob weight must be positive")
 
 
@@ -55,16 +57,19 @@ class SchedulerConfig:
     bucket_width: float = 0.1
 
     def __post_init__(self) -> None:
+        # Each range check is written so that NaN fails it.
         if not (0.0 <= self.accuracy_threshold <= 1.0):
             raise ValueError(
-                f"accuracy threshold {self.accuracy_threshold} outside [0, 1]"
+                f"accuracy_threshold {self.accuracy_threshold} outside [0, 1]"
             )
         if self.momentum < 1:
             raise ValueError(f"momentum {self.momentum} must be >= 1")
-        if self.distance_threshold < 0:
-            raise ValueError("distance threshold must be >= 0")
+        if not (math.isfinite(self.distance_threshold) and self.distance_threshold >= 0):
+            raise ValueError(
+                f"distance_threshold {self.distance_threshold} must be finite and >= 0"
+            )
         if not (0.0 < self.bucket_width <= 1.0):
-            raise ValueError(f"bucket width {self.bucket_width} outside (0, 1]")
+            raise ValueError(f"bucket_width {self.bucket_width} outside (0, 1]")
 
     def params(self) -> dict[str, float | int]:
         """The seven scheduler parameters, knobs flattened, in sweep order."""
@@ -81,18 +86,16 @@ class SchedulerConfig:
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> SchedulerConfig:
         """Inverse of `params()`: momentum is coerced to int, the rest to
-        float.  Keys other than the seven parameters are ignored."""
-        return cls(
-            knobs=Knobs(
-                w_accuracy=float(params["w_accuracy"]),
-                w_energy=float(params["w_energy"]),
-                w_latency=float(params["w_latency"]),
-            ),
-            accuracy_threshold=float(params["accuracy_threshold"]),
-            momentum=int(params["momentum"]),
-            distance_threshold=float(params["distance_threshold"]),
-            bucket_width=float(params["bucket_width"]),
-        )
+        float.  Keys other than the seven parameters are ignored, and a
+        value that does not convert fails naming its parameter."""
+        values = {}
+        for name, default in cls().params().items():
+            try:
+                values[name] = type(default)(params[name])
+            except (OverflowError, TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        knobs = Knobs(*(values.pop(f.name) for f in fields(Knobs)))
+        return cls(knobs, **values)
 
 
 @dataclass(frozen=True)

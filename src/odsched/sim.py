@@ -39,7 +39,14 @@ from .catalog import (
     Pair,
 )
 from .confidence_graph import PredictionMap, build_prediction_map
-from .errors import ScenarioError, read_json, write_json
+from .errors import (
+    DECODE_ERRORS,
+    ScenarioError,
+    ValidationError,
+    decode_error,
+    read_json,
+    write_json,
+)
 from .images import GrayscaleImage
 from .loader import AcceleratorMemory
 from .scheduler import SchedulerConfig, SchedulerState, schedule
@@ -54,6 +61,8 @@ _POLICY_KINDS = (
     "oracle_accuracy",
     "oracle_latency",
 )
+# Oracle objective -> the letter that names it in a policy string.
+_ORACLE_LETTERS = {"energy": "e", "accuracy": "a", "latency": "l"}
 
 
 @dataclass(frozen=True)
@@ -78,17 +87,39 @@ class Policy:
 
     @classmethod
     def oracle(cls, objective: str) -> Policy:
-        if objective not in ("energy", "accuracy", "latency"):
+        if objective not in _ORACLE_LETTERS:
             raise ValueError(f"unknown oracle objective {objective!r}")
         return cls(kind=f"oracle_{objective}")
 
     def describe(self) -> str:
+        """The policy string: shift, single:<model>:<accelerator>, oracle-e,
+        oracle-a or oracle-l."""
         if self.kind == "single":
             assert self.pair is not None
             return f"single:{self.pair[0]}:{self.pair[1]}"
         if self.kind.startswith("oracle_"):
-            return "oracle-" + self.kind.removeprefix("oracle_")[0]
+            return "oracle-" + _ORACLE_LETTERS[self.kind.removeprefix("oracle_")]
         return self.kind
+
+    @classmethod
+    def parse(cls, text: str, config: SchedulerConfig | None = None) -> Policy:
+        """Inverse of `describe()`; a shift policy is given `config`."""
+        if text == "shift":
+            return cls.shift(config)
+        for objective, letter in _ORACLE_LETTERS.items():
+            if text == f"oracle-{letter}":
+                return cls.oracle(objective)
+        if text.startswith("single:"):
+            parts = text.split(":")
+            if len(parts) != 3 or not parts[1] or not parts[2]:
+                raise ValidationError(
+                    f"bad single policy {text!r}, expected single:<model>:<accelerator>"
+                )
+            return cls.single(parts[1], parts[2])
+        raise ValidationError(
+            f"unknown policy {text!r}; use shift, single:<model>:<accel>, "
+            "oracle-e, oracle-a, or oracle-l"
+        )
 
 
 @dataclass(frozen=True)
@@ -499,10 +530,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             height=int(doc.get("height", 64)),
             emit_frames=bool(doc.get("emit_frames", True)),
         )
-    # int() of an infinite number raises OverflowError.
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ScenarioError(f"{where}: {reason}") from None
+    except DECODE_ERRORS as exc:
+        raise decode_error(ScenarioError, where, exc) from None
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -387,8 +387,8 @@ def test_criterion_09_oracle_sanity():
         oracle_l = run(trace, cat, Policy.oracle("latency"))
         shift = run(trace, cat, Policy.shift())
         assert oracle_a.avg_iou >= shift.avg_iou
-        for model in trace.models():
-            for accel in cat.accelerators_for(model):
+        for model, accel in cat.profiled_pairs():
+            if model in trace.models():
                 single = run(trace, cat, Policy.single(model, accel))
                 assert oracle_a.avg_iou >= single.avg_iou
         assert oracle_e.avg_energy_j <= oracle_a.avg_energy_j

@@ -348,6 +348,13 @@ def test_load_trace_bad_json(tmp_path, two_model_catalog):
         ({"frame": 1, "ground_truth": [1, 2], "detections": {}}, "'ground_truth'"),
         ({"frame": 1, "frame_image": {"width": float("inf"), "height": 8, "pixels_b64": ""},
           "detections": {}}, "bad frame image"),
+        ({"frame": 1, "detections": {"a": {"confidence": 0.5}}},
+         "'detections.a': missing key 'iou'"),
+        ({"frame": 1, "detections": {"a": _det(0.5, 0.4, {"x_min": -1, "y_min": 0,
+                                                          "x_max": 3, "y_max": 3})}},
+         "'detections.a.box': box coordinates must be non-negative"),
+        ({"frame": 1, "frame_image": "missing.pgm", "detections": {}},
+         "bad frame image: .*missing.pgm"),
     ],
 )
 def test_load_trace_wrong_json_type_names_line_and_field(

@@ -229,6 +229,27 @@ def test_sweep_scalar_grid_value_fails_cleanly(tmp_path, trace_file, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, grid, message",
+    [
+        (["build-graph", "--distance", "nan"], None, "distance_threshold nan"),
+        (["simulate", "--w-acc", "nan"], None, "w_accuracy must be finite"),
+        (["simulate", "--distance", "inf"], None, "distance_threshold inf"),
+        (["sweep"], '{"w_energy": [0.5, NaN]}', "w_energy must be finite"),
+        (["sweep"], '{"momentum": [Infinity]}', "momentum: cannot convert"),
+    ],
+)
+def test_non_finite_parameter_fails_naming_it(tmp_path, trace_file, capsys,
+                                              command, grid, message):
+    out = tmp_path / "out"
+    if grid is not None:
+        (tmp_path / "grid.json").write_text(grid)
+        command = [*command, "--grid", str(tmp_path / "grid.json")]
+    assert main([*command, "--trace", trace_file, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_gen_trace_round_trips_through_loader(tmp_path):
     out = tmp_path / "t.ndjson"
     assert main(["gen-trace", "--seed", "3", "--out", str(out)]) == 0

@@ -4,8 +4,9 @@ The digests guard refactors of the replay loop and of the scheduler
 parameter handling: any change to a report, a per-frame CSV, a sweep CSV or
 a sweep summary shows up here.  The trace file itself is pinned too, so a
 change to how frames are generated or held in memory cannot alter what is
-written.  `--help` text is not pinned, because argparse formats it
-differently across Python versions.
+written, and so is the `build-graph` map, so a change to the graph build
+cannot alter the prediction map.  `--help` text is not pinned, because
+argparse formats it differently across Python versions.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from odsched.scheduler import SchedulerConfig
 
 # sha256 of the `gen-trace --seed 3` file every test below replays.
 TRACE_DIGEST = "3df766871f3b3d064cfcf87273b17512e008b39c9e27580e7044c0691b8c401e"
+
+# sha256 of the `build-graph` map of that trace, default parameters.
+GRAPH_DIGEST = "4f19674841fd9cf3f20cb8b63841942945d9dbeaba7677f2d87ba04209f11111"
 
 SIMULATE_DIGESTS = {
     # --policy argument -> sha256 of (report JSON, frames CSV, timeline CSV)
@@ -85,6 +89,12 @@ def trace_file(tmp_path_factory):
 
 def test_trace_file_is_pinned(trace_file):
     assert _sha256(Path(trace_file)) == TRACE_DIGEST
+
+
+def test_graph_file_is_pinned(tmp_path, trace_file):
+    out = tmp_path / "graph.json"
+    assert main(["build-graph", "--trace", trace_file, "--out", str(out)]) == 0
+    assert _sha256(out) == GRAPH_DIGEST
 
 
 def _simulate(tmp_path, trace_file, *extra):

@@ -74,10 +74,10 @@ def test_is_resident_does_not_touch_recency():
     mem = AcceleratorMemory("gpu", 2 * GB)
     mem.request("a", cat)
     mem.request("b", cat)
-    assert mem.is_resident("a")
-    assert not mem.is_resident("zzz")
+    assert "a" in mem.resident
+    assert "zzz" not in mem.resident
     out = mem.request("c", cat)
-    assert out.evicted[0] == "a"  # the is_resident query did not refresh a
+    assert out.evicted[0] == "a"  # the membership query did not refresh a
 
 
 def test_prefill_empty_priority():

@@ -75,6 +75,13 @@ def test_knobs_validation():
     with pytest.raises(ValueError, match="positive"):
         Knobs(0.0, 0.0, 0.0)
     Knobs(0.0, 0.0, 1.0)  # one positive axis is enough
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^w_accuracy must be finite"):
+            Knobs(w_accuracy=bad)
+        with pytest.raises(ValueError, match="^w_energy must be finite"):
+            Knobs(w_energy=bad)
+        with pytest.raises(ValueError, match="^w_latency must be finite"):
+            Knobs(w_latency=bad)
 
 
 def test_config_validation():
@@ -86,6 +93,15 @@ def test_config_validation():
         SchedulerConfig(distance_threshold=-0.1)
     with pytest.raises(ValueError):
         SchedulerConfig(bucket_width=0.0)
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="^accuracy_threshold"):
+            SchedulerConfig(accuracy_threshold=bad)
+        with pytest.raises(ValueError, match="^distance_threshold .* must be finite"):
+            SchedulerConfig(distance_threshold=bad)
+        with pytest.raises(ValueError, match="^bucket_width"):
+            SchedulerConfig(bucket_width=bad)
+        with pytest.raises(ValueError, match="^momentum: cannot convert"):
+            SchedulerConfig.from_params({**SchedulerConfig().params(), "momentum": bad})
     # stock operating defaults
     cfg = SchedulerConfig()
     assert cfg.momentum == 30

@@ -15,7 +15,7 @@ from odsched.catalog import (
     frame_to_dict,
 )
 from odsched.context import ncc
-from odsched.errors import ScenarioError
+from odsched.errors import ScenarioError, ValidationError
 from odsched.images import GrayscaleImage
 from odsched.scheduler import Knobs, SchedulerConfig
 from odsched.sim import (
@@ -45,6 +45,20 @@ def test_policy_validation():
         Policy.oracle("speed")
     assert Policy.oracle("energy").describe() == "oracle-e"
     assert Policy.single("m", "gpu").describe() == "single:m:gpu"
+
+
+def test_policy_parse_round_trips_describe():
+    config = SchedulerConfig(momentum=7)
+    policies = [Policy.shift(config), Policy.single("m", "gpu"),
+                *(Policy.oracle(o) for o in ("energy", "accuracy", "latency"))]
+    for policy in policies:
+        assert Policy.parse(policy.describe(), config) == policy
+    assert [p.describe() for p in policies] == [
+        "shift", "single:m:gpu", "oracle-e", "oracle-a", "oracle-l"]
+    with pytest.raises(ValidationError, match="bad single policy 'single:m'"):
+        Policy.parse("single:m")
+    with pytest.raises(ValidationError, match="unknown policy 'oracle-x'; use shift"):
+        Policy.parse("oracle-x")
 
 
 # ---------------------------------------------------------------------------
