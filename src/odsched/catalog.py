@@ -51,6 +51,8 @@ from .errors import (
     CatalogError,
     TraceError,
     decode_error,
+    json_bool,
+    json_int,
     read_json,
     write_json,
 )
@@ -236,8 +238,8 @@ def catalog_from_dict(doc: dict) -> Catalog:
             where = f"accelerators[{i}]"
             acc = Accelerator(
                 name=str(entry["name"]),
-                memory_bytes=int(entry["memory_bytes"]),
-                is_gpu=bool(entry.get("gpu", str(entry["name"]).lower() == "gpu")),
+                memory_bytes=json_int(entry, "memory_bytes"),
+                is_gpu=json_bool(entry, "gpu", str(entry["name"]).lower() == "gpu"),
             )
             if acc.name in accelerators:
                 raise CatalogError(f"duplicate accelerator {acc.name!r}")
@@ -259,7 +261,7 @@ def catalog_from_dict(doc: dict) -> Catalog:
                 avg_latency_s=float(entry["avg_latency_s"]),
                 avg_power_w=float(entry["avg_power_w"]),
                 avg_energy_j=float(entry["avg_energy_j"]),
-                memory_bytes=int(entry["memory_bytes"]),
+                memory_bytes=json_int(entry, "memory_bytes"),
                 load_time_s=float(entry["load_time_s"]),
                 load_energy_j=float(entry["load_energy_j"]),
             )
@@ -328,6 +330,10 @@ class DetectionOutcome:
             raise ValueError(f"iou {self.iou} outside [0, 1]")
         if self.box is None and self.iou != 0.0:
             raise ValueError("iou must be 0 when no box was detected")
+
+
+# The outcome of a model that has none on a frame.
+NO_DETECTION = DetectionOutcome(0.0, 0.0)
 
 
 @dataclass(frozen=True)

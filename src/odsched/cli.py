@@ -20,7 +20,6 @@ from .catalog import Catalog, builtin_catalog, load_catalog, load_trace, save_tr
 from .confidence_graph import (
     build_prediction_map,
     load_prediction_map,
-    prediction_map_to_dict,
     save_prediction_map,
 )
 from .errors import ValidationError, read_json, write_json
@@ -77,10 +76,9 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     pm = build_prediction_map(trace, config.bucket_width, config.distance_threshold,
                               min_samples=args.min_samples)
     save_prediction_map(pm, args.out)
-    doc = prediction_map_to_dict(pm)
     print(
-        f"wrote {args.out}: {len(doc['nodes'])} nodes, "
-        f"{len(doc['arcs'])} arcs, {len(doc['entries'])} entries"
+        f"wrote {args.out}: {len(pm.nodes)} nodes, "
+        f"{len(pm.arcs)} arcs, {len(pm.entries)} entries"
     )
     return 0
 

@@ -208,8 +208,8 @@ def neighborhood(
     """
     if start not in cg.nodes:
         raise KeyError(f"start node {start} not in graph")
-    if distance_threshold < 0:
-        raise ValueError("distance threshold must be >= 0")
+    if not (math.isfinite(distance_threshold) and distance_threshold >= 0):
+        raise ValueError("distance threshold must be finite and >= 0")
     adj = cg.adjacency()
     dist: dict[NodeKey, float] = {}
     heap: list[tuple[float, NodeKey]] = [(0.0, start)]

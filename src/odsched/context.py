@@ -115,7 +115,6 @@ def bbox_similarity(
     prev_box: BoundingBox,
     cur_frame: GrayscaleImage,
     cur_box: BoundingBox,
-    patch_size: int = PATCH_SIZE,
 ) -> float:
     """NCC between the two box contents, resampled to a common square patch.
 
@@ -126,8 +125,8 @@ def bbox_similarity(
     b = _crop(cur_frame, cur_box)
     if a.size == 0 or b.size == 0:
         return 0.0
-    a = _resample_nearest(a, patch_size, patch_size)
-    b = _resample_nearest(b, patch_size, patch_size)
+    a = _resample_nearest(a, PATCH_SIZE, PATCH_SIZE)
+    b = _resample_nearest(b, PATCH_SIZE, PATCH_SIZE)
     return _ncc_flat(a.ravel(), b.ravel())
 
 

@@ -3,6 +3,8 @@ JSON file layer.
 
 Every decoder runs in one `try` that labels the field it is decoding; any of
 `DECODE_ERRORS` there is malformed input, which `decode_error` reports.
+`json_float`, `json_int` and `json_bool` read a field that must hold that
+JSON type, and name the field when it does not.
 
 Every whole-file JSON input is parsed by `read_json`, which reports an
 unreadable or unparsable file as the caller's `ValidationError` subclass.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 
 class ValidationError(ValueError):
@@ -44,6 +46,39 @@ def decode_error(
     """`exc`, raised while decoding `where`, as an `error` naming `where`."""
     reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
     return error(f"{where}: {reason}")
+
+
+def json_float(doc: Mapping[str, Any], key: str) -> float:
+    """`doc[key]`, a JSON number, as a float; booleans and strings are not
+    numbers."""
+    return float(_json_number(doc, key))
+
+
+def json_int(doc: Mapping[str, Any], key: str) -> int:
+    """`doc[key]`, a JSON number with no fractional part, as an int."""
+    value = _json_number(doc, key)
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError) as exc:  # NaN or infinity
+        raise ValueError(f"{key}: {exc}") from None
+    if whole != value:
+        raise ValueError(f"{key}: must be an integer, got {value!r}")
+    return whole
+
+
+def json_bool(doc: Mapping[str, Any], key: str, default: bool) -> bool:
+    """`doc[key]`, which must be a JSON boolean, or `default` when absent."""
+    value = doc.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key}: must be true or false, got {value!r}")
+    return value
+
+
+def _json_number(doc: Mapping[str, Any], key: str) -> int | float:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key}: must be a number, got {value!r}")
+    return value
 
 
 def read_json(path: str | Path, what: str, error: type[ValidationError]) -> Any:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterable
 
 from .catalog import AcceleratorId, Catalog, ModelId
 
@@ -74,7 +75,7 @@ class AcceleratorMemory:
             energy_cost_j=profile.load_energy_j,
         )
 
-    def prefill(self, catalog: Catalog, priority: list[ModelId]) -> set[ModelId]:
+    def prefill(self, catalog: Catalog, priority: Iterable[ModelId]) -> set[ModelId]:
         """Greedily load models in priority order while they fit; never evict.
 
         Models without a profile on this accelerator are skipped: the

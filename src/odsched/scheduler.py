@@ -5,9 +5,9 @@ min of frame NCC and detection-box NCC, multiplied by the current model's
 confidence, must clear the accuracy threshold.  If it does, the incumbent
 pair stays and nothing else runs.  Otherwise the confidence graph predicts
 every model's accuracy, the predictions are smoothed over a momentum window,
-models meeting the threshold form the valid set (falling back to all
-predicted models when none qualify), and every profiled (model, accelerator)
-pair from the valid set is scored:
+the predicted models that have a profiled pair and meet the threshold form
+the valid set (falling back to all of them when none qualify), and every
+profiled (model, accelerator) pair from the valid set is scored:
 
     score = R[model] * w_accuracy
           + energy_score[pair] * w_energy
@@ -28,6 +28,7 @@ from typing import Any, Mapping
 from .catalog import BoundingBox, Catalog, ModelId, Pair
 from .confidence_graph import Prediction, PredictionMap, predict
 from .context import FrameStats, bbox_similarity, ncc_cached
+from .errors import json_float, json_int
 from .images import GrayscaleImage
 
 
@@ -85,15 +86,14 @@ class SchedulerConfig:
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> SchedulerConfig:
-        """Inverse of `params()`: momentum is coerced to int, the rest to
-        float.  Keys other than the seven parameters are ignored, and a
-        value that does not convert fails naming its parameter."""
-        values = {}
-        for name, default in cls().params().items():
-            try:
-                values[name] = type(default)(params[name])
-            except (OverflowError, TypeError, ValueError) as exc:
-                raise ValueError(f"{name}: {exc}") from None
+        """Inverse of `params()`: momentum must be an integral number, the
+        rest numbers.  Keys other than the seven parameters are ignored, and
+        a boolean, a string or a fractional momentum fails naming its
+        parameter."""
+        values = {
+            name: (json_int if type(default) is int else json_float)(params, name)
+            for name, default in cls().params().items()
+        }
         knobs = Knobs(*(values.pop(f.name) for f in fields(Knobs)))
         return cls(knobs, **values)
 
@@ -203,8 +203,8 @@ class SchedulerState:
         self.prediction_map = prediction_map
         self.config = config if config is not None else SchedulerConfig()
         self.costs = normalize_costs(catalog)
+        self.profiled_models = frozenset(model for model, _ in catalog.profiles)
         self.buffers: dict[ModelId, deque[float]] = {}
-        self.current_pair: Pair | None = None
         # Frame and box NCC terms keyed by what they compare, shared by every
         # state replaying the same trace.  Without one, each call gets a
         # throwaway dict, so a long stream accumulates nothing.
@@ -228,14 +228,7 @@ class SchedulerState:
             top = pm.populated_buckets(model)[-1]
             own = next(p for p in pm.entries[(model, top)] if p.model == model)
             seeds.append(Prediction(model=model, accuracy=own.accuracy, distance=0.0))
-        chosen, scores = self._select(tuple(seeds))
-        return Decision(
-            pair=chosen,
-            rescheduled=True,
-            similarity=0.0,
-            scores=scores,
-            predictions=tuple(seeds),
-        )
+        return self._select(tuple(seeds), 0.0)
 
     def _context(self, frame: GrayscaleImage, box: BoundingBox | None) -> float:
         """min(frame NCC, box NCC) of `frame` against the last frame, then
@@ -264,24 +257,17 @@ class SchedulerState:
         self._last_image, self._last_box, self._last_stats = frame, box, cur_stats
         return sim_score
 
-    def _select(
-        self, predictions: tuple[Prediction, ...]
-    ) -> tuple[Pair, dict[Pair, float]]:
+    def _select(self, predictions: tuple[Prediction, ...], similarity: float) -> Decision:
+        """The full scheduling pass: momentum, then the valid set among the
+        predicted models that have a profiled pair, then the argmax."""
         cfg = self.config
         averages = update_momentum(self.buffers, predictions, cfg.momentum)
-        valid = valid_set(averages, cfg.accuracy_threshold)
-        scores = score_candidates(averages, valid, self.costs, cfg.knobs, self.catalog)
-        if not scores:
-            # Valid models may lack profiled pairs; widen to every predicted
-            # model before giving up.
-            scores = score_candidates(
-                averages, set(averages), self.costs, cfg.knobs, self.catalog
-            )
-        if not scores:
+        profiled = {m: r for m, r in averages.items() if m in self.profiled_models}
+        if not profiled:
             raise ValueError("no profiled (model, accelerator) pair among predictions")
-        chosen = best_pair(scores)
-        self.current_pair = chosen
-        return chosen, scores
+        valid = valid_set(profiled, cfg.accuracy_threshold)
+        scores = score_candidates(averages, valid, self.costs, cfg.knobs, self.catalog)
+        return Decision(best_pair(scores), True, similarity, scores, predictions)
 
 
 def schedule(
@@ -305,15 +291,5 @@ def schedule(
     sim_score = 0.0 if frame is None else state._context(frame, box)
 
     if sim_score * confidence >= cfg.accuracy_threshold:
-        state.current_pair = pair
         return Decision(pair=pair, rescheduled=False, similarity=sim_score)
-
-    predictions = predict(state.prediction_map, pair[0], confidence)
-    chosen, scores = state._select(predictions)
-    return Decision(
-        pair=chosen,
-        rescheduled=True,
-        similarity=sim_score,
-        scores=scores,
-        predictions=predictions,
-    )
+    return state._select(predict(state.prediction_map, pair[0], confidence), sim_score)

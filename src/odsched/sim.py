@@ -12,9 +12,10 @@ Policies:
 * ``single`` -- one fixed (model, accelerator) pair; pays one cold load on
   the first frame, nothing after.
 * ``oracle_energy`` / ``oracle_accuracy`` / ``oracle_latency`` --
-  clairvoyant per-frame baselines choosing among models whose recorded IoU
-  clears 0.5 (all models when none do).  Oracles assume everything is
-  preloaded and pay no load or scheduling cost.
+  clairvoyant per-frame baselines choosing among the profiled pairs of
+  models whose recorded IoU clears 0.5 (of all observed models when none
+  do).  Oracles assume everything is preloaded and pay no load or
+  scheduling cost.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .catalog import (
+    NO_DETECTION,
     BoundingBox,
     Catalog,
     CharacterizationTrace,
@@ -44,6 +46,7 @@ from .errors import (
     ScenarioError,
     ValidationError,
     decode_error,
+    json_bool,
     read_json,
     write_json,
 )
@@ -208,29 +211,22 @@ def metrics(
 
 
 def oracle_choose(frame: FrameRecord, catalog: Catalog, objective: str) -> Pair:
-    """Clairvoyant per-frame choice among models with recorded IoU >= 0.5.
+    """Clairvoyant per-frame choice among the profiled pairs of the models
+    with an outcome, preferring those whose recorded IoU is >= 0.5.
 
-    When no model qualifies, every model with an outcome is a candidate and
-    the objective alone decides.
+    When no such pair qualifies, every one is a candidate and the objective
+    alone decides.
     """
     if objective not in ("energy", "accuracy", "latency"):
         raise ValueError(f"unknown oracle objective {objective!r}")
-    observed = sorted(frame.per_model)
-    if not observed:
+    if not frame.per_model:
         raise ValueError(f"frame {frame.frame_index} has no model outcomes")
-    qualifying = [m for m in observed if frame.per_model[m].iou >= SUCCESS_IOU]
-    candidates = qualifying or observed
-
-    def pairs_of(models: list[ModelId]) -> list[Pair]:
-        return [p for p in catalog.profiled_pairs() if p[0] in set(models)]
-
-    pairs = pairs_of(candidates)
-    if not pairs:
-        pairs = pairs_of(observed)
+    pairs = [p for p in catalog.profiled_pairs() if p[0] in frame.per_model]
     if not pairs:
         raise ValueError(
             f"frame {frame.frame_index}: no profiled pair among observed models"
         )
+    pairs = [p for p in pairs if frame.per_model[p[0]].iou >= SUCCESS_IOU] or pairs
     if objective == "energy":
         key = lambda p: (catalog.profiles[p].avg_energy_j, p)
     elif objective == "latency":
@@ -290,17 +286,14 @@ def _run(
             )
         state = SchedulerState(catalog, pm, config, memo=memo)
         if prefill:
-            order = sorted(catalog.models)
             for mem in memories.values():
-                mem.prefill(catalog, order)
+                mem.prefill(catalog, catalog.models)
         pair = state.bootstrap().pair
 
         def choose(fr: FrameRecord) -> Pair:
             nonlocal pair
-            incumbent = fr.per_model.get(pair[0])
-            confidence = incumbent.confidence if incumbent is not None else 0.0
-            box = incumbent.box if incumbent is not None else None
-            pair = schedule(state, pair, confidence, fr.frame, box).pair
+            incumbent = fr.per_model.get(pair[0], NO_DETECTION)
+            pair = schedule(state, pair, incumbent.confidence, fr.frame, incumbent.box).pair
             return pair
 
     elif policy.kind == "single":
@@ -346,14 +339,14 @@ def _replay(
             load_time_s, load_energy_j = load.time_cost_s, load.energy_cost_j
         # A chosen model without trace coverage on this frame scores 0; it
         # penalizes scheduling uncharacterized models instead of erroring.
-        out = fr.per_model.get(pair[0])
+        out = fr.per_model.get(pair[0], NO_DETECTION)
         results.append(
             FrameResult(
                 frame_index=fr.frame_index,
                 model=pair[0],
                 accelerator=pair[1],
-                achieved_iou=out.iou if out is not None else 0.0,
-                confidence=out.confidence if out is not None else 0.0,
+                achieved_iou=out.iou,
+                confidence=out.confidence,
                 latency_s=profile.avg_latency_s + overhead_s,
                 energy_j=profile.avg_energy_j,
                 swap_occurred=prev_pair is not None and pair != prev_pair,
@@ -528,7 +521,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
             segments=tuple(segments),
             width=int(doc.get("width", 64)),
             height=int(doc.get("height", 64)),
-            emit_frames=bool(doc.get("emit_frames", True)),
+            emit_frames=json_bool(doc, "emit_frames", True),
         )
     except DECODE_ERRORS as exc:
         raise decode_error(ScenarioError, where, exc) from None

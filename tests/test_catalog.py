@@ -215,6 +215,14 @@ def test_non_finite_catalog_number_rejected(tmp_path, path, message, value):
         ("compatibility", ["x"], r"^compatibility: "),
         ("accelerators", ["gpu"], r"^accelerators\[0\]: "),
         ("models", 3, r"^models: "),
+        ("accelerators", [{"name": "gpu", "memory_bytes": 100, "gpu": "false"}],
+         r"^accelerators\[0\]: gpu: must be true or false, got 'false'$"),
+        ("accelerators", [{"name": "gpu", "memory_bytes": 400000000.7}],
+         r"^accelerators\[0\]: memory_bytes: must be an integer, got 400000000.7$"),
+        ("profiles", [{**_minimal_doc()["profiles"][0], "memory_bytes": 1.9}],
+         r"^profiles\[0\]: memory_bytes: must be an integer, got 1.9$"),
+        ("profiles", [{**_minimal_doc()["profiles"][0], "memory_bytes": True}],
+         r"^profiles\[0\]: memory_bytes: must be a number, got True$"),
     ],
 )
 def test_catalog_wrong_json_type_names_field(key, value, message):

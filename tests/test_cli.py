@@ -237,6 +237,7 @@ def test_sweep_scalar_grid_value_fails_cleanly(tmp_path, trace_file, capsys):
         (["simulate", "--distance", "inf"], None, "distance_threshold inf"),
         (["sweep"], '{"w_energy": [0.5, NaN]}', "w_energy must be finite"),
         (["sweep"], '{"momentum": [Infinity]}', "momentum: cannot convert"),
+        (["sweep"], '{"momentum": [30, 1.5]}', "momentum: must be an integer, got 1.5"),
     ],
 )
 def test_non_finite_parameter_fails_naming_it(tmp_path, trace_file, capsys,

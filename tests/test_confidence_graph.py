@@ -304,6 +304,12 @@ def test_prediction_map_empty_trace():
         build_prediction_map(make_trace([]), 0.1, 0.5)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_prediction_map_rejects_non_finite_threshold(demo_trace, threshold):
+    with pytest.raises(ValueError, match="^distance threshold must be finite and >= 0$"):
+        build_prediction_map(demo_trace, 0.1, threshold)
+
+
 def test_predict_contains_queried_model_at_distance_zero(demo_trace):
     pm = build_prediction_map(demo_trace)
     for model in pm.models():

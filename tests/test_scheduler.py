@@ -4,9 +4,18 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog, make_profile
-from odsched.catalog import BoundingBox
+from odsched.catalog import (
+    Accelerator,
+    BoundingBox,
+    Catalog,
+    CharacterizationTrace,
+    DetectionOutcome,
+    FrameRecord,
+)
 from odsched.confidence_graph import Bucket, GraphNode, Prediction, PredictionMap
 from odsched.images import GrayscaleImage
 from odsched.scheduler import (
@@ -102,6 +111,17 @@ def test_config_validation():
             SchedulerConfig(bucket_width=bad)
         with pytest.raises(ValueError, match="^momentum: cannot convert"):
             SchedulerConfig.from_params({**SchedulerConfig().params(), "momentum": bad})
+    # JSON scalars of the wrong type fail naming the parameter, not coerced.
+    for name, bad, message in [
+        ("momentum", 1.5, "must be an integer, got 1.5"),
+        ("momentum", True, "must be a number, got True"),
+        ("momentum", "30", "must be a number, got '30'"),
+        ("w_energy", "0.5", "must be a number, got '0.5'"),
+        ("bucket_width", True, "must be a number, got True"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name}: {message}$"):
+            SchedulerConfig.from_params({**SchedulerConfig().params(), name: bad})
+    assert SchedulerConfig.from_params({**SchedulerConfig().params(), "momentum": 5.0}).momentum == 5
     # stock operating defaults
     cfg = SchedulerConfig()
     assert cfg.momentum == 30
@@ -270,6 +290,19 @@ def test_empty_valid_set_falls_back_to_all():
     assert d.pair == ("b", "gpu")
 
 
+def test_qualifier_without_profiled_pair_falls_back_to_every_profiled_model():
+    # c alone meets the threshold but has no profiled pair, so every
+    # predicted model that has one is a candidate.
+    cat = make_catalog(
+        [make_profile("a", "gpu", 0.10, 10.0), make_profile("b", "gpu", 0.01, 10.0)]
+    )
+    pm = make_pm({"a": 0.3, "b": 0.2, "c": 0.9})
+    cfg = SchedulerConfig(knobs=Knobs(1.0, 0.0, 0.0), accuracy_threshold=0.5)
+    d = schedule(SchedulerState(cat, pm, cfg), ("b", "gpu"), 0.1)
+    assert set(d.scores) == {("a", "gpu"), ("b", "gpu")}
+    assert d.pair == ("a", "gpu")
+
+
 def test_schedule_unknown_model_errors():
     _, _, state = _two_model_setup()
     with pytest.raises(KeyError):
@@ -389,7 +422,7 @@ def test_bootstrap_seeds_from_top_bucket_and_scores():
     assert list(state.buffers["a"]) == [0.75]
     assert list(state.buffers["b"]) == [0.5]
     assert d.pair == ("a", "gpu")
-    assert state.current_pair == ("a", "gpu")
+    assert d.scores == {("a", "gpu"): 0.75, ("b", "gpu"): 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +512,17 @@ class NaiveScheduler:
             self._append(p.model, p.accuracy)
             buf = self.buffers[p.model]
             averages[p.model] = sum(buf) / len(buf)
-        meeting = {m for m, r in averages.items() if r >= self.config.accuracy_threshold}
+        # The README's candidate rule: the predicted models that have a
+        # profiled pair and meet the threshold, or all of them when none does.
+        pairs = self.catalog.profiled_pairs()
+        profiled = {m for m in averages if any(p[0] == m for p in pairs)}
+        meeting = {m for m in profiled if averages[m] >= self.config.accuracy_threshold}
         if not meeting:
-            meeting = set(averages)
+            meeting = profiled
         knobs = self.config.knobs
         best = None
         best_score = None
-        for pair in self.catalog.profiled_pairs():
+        for pair in pairs:
             if pair[0] not in meeting:
                 continue
             score = (
@@ -552,6 +589,80 @@ def test_schedule_matches_naive_reimplementation(builtin, demo_trace, config):
         expected_pair, expected_resched = naive.step(pair, conf, fr.frame, box)
         assert decision.pair == expected_pair, fr.frame_index
         assert decision.rescheduled == expected_resched, fr.frame_index
+        pair = decision.pair
+
+
+_ACCELERATORS = ("dla", "gpu")
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _streams(draw):
+    """A small catalog in which some trace models have no profiled pair, a
+    trace over those models with or without frames, and a configuration."""
+    models = [f"m{i}" for i in range(draw(st.integers(2, 4)))]
+    profiled = draw(st.sets(st.sampled_from(models), min_size=1))
+    profiles = [
+        make_profile(m, a, draw(st.floats(0.01, 1.0)), draw(st.floats(1.0, 20.0)))
+        for m in sorted(profiled)
+        for a in sorted(draw(st.sets(st.sampled_from(_ACCELERATORS), min_size=1)))
+    ]
+    catalog = Catalog(
+        accelerators={a: Accelerator(a, 10**9, a == "gpu") for a in _ACCELERATORS},
+        models=tuple(models),
+        compatibility=frozenset((m, a) for m in models for a in _ACCELERATORS),
+        profiles={p.pair: p for p in profiles},
+    )
+
+    with_frames = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    images = [GrayscaleImage(rng.integers(0, 256, (16, 16)).astype(np.uint8)) for _ in range(2)]
+    outcome = st.tuples(_UNIT, _UNIT)
+    # The first frame has every model, so every model has a graph node.
+    rows = [draw(st.lists(outcome, min_size=len(models), max_size=len(models)))]
+    rows += draw(st.lists(
+        st.lists(st.one_of(st.none(), outcome), min_size=len(models), max_size=len(models)),
+        min_size=1, max_size=24,
+    ))
+    frames = []
+    for i, row in enumerate(rows):
+        x = draw(st.sampled_from((0, 4)))
+        per_model = {
+            m: DetectionOutcome(*o, BoundingBox(x, 2, x + 10, 12) if o[1] > 0 else None)
+            for m, o in zip(models, row)
+            if o is not None
+        }
+        image = images[draw(st.integers(0, 1))] if with_frames else None
+        frames.append(FrameRecord(i, per_model, frame=image))
+
+    knobs = draw(st.tuples(*[st.sampled_from((0.0, 0.5, 1.0, 2.0))] * 3))
+    config = SchedulerConfig(
+        knobs=Knobs(*knobs) if any(knobs) else Knobs(),
+        accuracy_threshold=draw(_UNIT),
+        momentum=draw(st.integers(1, 4)),
+        distance_threshold=draw(st.sampled_from((0.0, 0.3, 1.0))),
+        bucket_width=draw(st.sampled_from((0.1, 0.25, 0.5))),
+    )
+    return catalog, CharacterizationTrace(tuple(frames)), config
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_streams())
+def test_schedule_matches_naive_on_random_streams(stream):
+    from odsched.confidence_graph import build_prediction_map
+
+    catalog, trace, config = stream
+    pm = build_prediction_map(trace, config.bucket_width, config.distance_threshold)
+    state = SchedulerState(catalog, pm, config)
+    naive = NaiveScheduler(catalog, pm, config)
+    pair = state.bootstrap().pair
+    assert pair == naive.bootstrap()
+    for fr in trace.frames:
+        out = fr.per_model.get(pair[0])
+        conf = out.confidence if out is not None else 0.0
+        box = out.box if out is not None else None
+        decision = schedule(state, pair, conf, fr.frame, box)
+        assert (decision.pair, decision.rescheduled) == naive.step(pair, conf, fr.frame, box)
         pair = decision.pair
 
 

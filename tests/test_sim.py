@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -173,6 +174,14 @@ def test_oracle_fallback_when_none_qualify(builtin):
     frame = _frame({"yolov7-tiny": (0.9, 0.3), "yolov7": (0.9, 0.4)})
     pair = oracle_choose(frame, builtin, "energy")
     assert pair == ("yolov7-tiny", "dla")  # objective still optimized
+
+
+def test_oracle_qualifiers_without_profiled_pair_fall_back_to_observed(builtin):
+    # Only "ghost" clears 0.5, and it has no profiled pair, so every observed
+    # model that has one is a candidate.
+    frame = _frame({"ghost": (0.9, 0.9), "yolov7-tiny": (0.9, 0.3), "yolov7": (0.9, 0.4)})
+    assert oracle_choose(frame, builtin, "accuracy") == ("yolov7", "dla")
+    assert oracle_choose(frame, builtin, "energy") == ("yolov7-tiny", "dla")
 
 
 def test_oracle_accuracy_unique_max(builtin):
@@ -433,6 +442,11 @@ def test_gen_trace_seed_validation():
 def test_scenario_validation_names_offending_field():
     with pytest.raises(ScenarioError, match="segments"):
         scenario_from_dict({})
+    demo = json.loads((resources.files("odsched.data") / "demo_scenario.json").read_text())
+    with pytest.raises(
+        ScenarioError, match="^scenario: emit_frames: must be true or false, got 'false'$"
+    ):
+        scenario_from_dict({**demo, "emit_frames": "false"})
     with pytest.raises(ScenarioError, match="frames"):
         scenario_from_dict({"segments": [{"models": {"a": {}}}]})
     with pytest.raises(ScenarioError, match="conf_mean"):
