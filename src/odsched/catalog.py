@@ -52,6 +52,7 @@ from .errors import (
     TraceError,
     decode_error,
     json_bool,
+    json_float,
     json_int,
     read_json,
     write_json,
@@ -229,9 +230,11 @@ def _validate_catalog(cat: Catalog) -> None:
 def catalog_from_dict(doc: dict) -> Catalog:
     if not isinstance(doc, dict):
         raise CatalogError("catalog document must be a JSON object")
-    where = "energy_tolerance"
+    where = "catalog"
     try:
-        tolerance = float(doc.get("energy_tolerance", DEFAULT_ENERGY_TOLERANCE))
+        tolerance = DEFAULT_ENERGY_TOLERANCE
+        if "energy_tolerance" in doc:
+            tolerance = json_float(doc, "energy_tolerance")
         accelerators: dict[str, Accelerator] = {}
         where = "accelerators"
         for i, entry in enumerate(doc["accelerators"]):
@@ -258,12 +261,12 @@ def catalog_from_dict(doc: dict) -> Catalog:
             prof = ModelProfile(
                 model=str(entry["model"]),
                 accelerator=str(entry["accelerator"]),
-                avg_latency_s=float(entry["avg_latency_s"]),
-                avg_power_w=float(entry["avg_power_w"]),
-                avg_energy_j=float(entry["avg_energy_j"]),
+                avg_latency_s=json_float(entry, "avg_latency_s"),
+                avg_power_w=json_float(entry, "avg_power_w"),
+                avg_energy_j=json_float(entry, "avg_energy_j"),
                 memory_bytes=json_int(entry, "memory_bytes"),
-                load_time_s=float(entry["load_time_s"]),
-                load_energy_j=float(entry["load_energy_j"]),
+                load_time_s=json_float(entry, "load_time_s"),
+                load_energy_j=json_float(entry, "load_energy_j"),
             )
             if prof.pair in profiles:
                 raise CatalogError(
@@ -368,7 +371,8 @@ class CharacterizationTrace:
 
 
 def _box_from_dict(obj: dict) -> BoundingBox:
-    return BoundingBox(*(float(obj[k]) for k in ("x_min", "y_min", "x_max", "y_max")))
+    coords = (json_float(obj, k) for k in ("x_min", "y_min", "x_max", "y_max"))
+    return BoundingBox(*coords)
 
 
 def _box_to_dict(box: BoundingBox) -> dict:
@@ -413,6 +417,8 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                 index = rec["frame"]
                 if type(index) is not int:
                     raise ValueError(f"must be an integer, got {index!r}")
+                if index < 0:
+                    raise ValueError(f"{index} must be >= 0")
                 if index <= last_index:
                     raise ValueError(f"{index} not strictly increasing")
                 field = "'ground_truth'"
@@ -436,7 +442,7 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                         box = _box_from_dict(box)
                         field = entry
                     detections[model] = DetectionOutcome(
-                        float(det["confidence"]), float(det["iou"]), box
+                        json_float(det, "confidence"), json_float(det, "iou"), box
                     )
             except (*DECODE_ERRORS, OSError) as exc:  # OSError: an unreadable PGM
                 raise decode_error(TraceError, f"{where}: {field}", exc) from None

@@ -27,7 +27,15 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .catalog import CharacterizationTrace, ModelId
-from .errors import DECODE_ERRORS, ValidationError, decode_error, read_json, write_json
+from .errors import (
+    DECODE_ERRORS,
+    ValidationError,
+    decode_error,
+    json_float,
+    json_int,
+    read_json,
+    write_json,
+)
 
 # Inverse-distance weighting floor; keeps the distance-0 self node finite
 # but dominant.
@@ -333,8 +341,8 @@ def prediction_map_to_dict(pm: PredictionMap) -> dict:
 
 
 def _node_key(pair: list) -> NodeKey:
-    model, idx = pair
-    return (str(model), int(idx))
+    model, bucket = pair
+    return (str(model), json_int({"bucket": bucket}, "bucket"))
 
 
 def prediction_map_from_dict(doc: dict) -> PredictionMap:
@@ -342,33 +350,33 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
         raise ValidationError("malformed prediction map document: not a JSON object")
     where = "prediction map"
     try:
-        width = float(doc["bucket_width"])
+        width = json_float(doc, "bucket_width")
         if not 0.0 < width <= 1.0:  # NaN fails too
             raise ValueError(f"'bucket_width' {width} outside (0, 1]")
-        threshold = float(doc["distance_threshold"])
+        threshold = json_float(doc, "distance_threshold")
         if not (math.isfinite(threshold) and threshold >= 0.0):
             raise ValueError(f"'distance_threshold' {threshold} must be finite and >= 0")
         nodes: dict[NodeKey, GraphNode] = {}
         for i, n in enumerate(doc["nodes"]):
             where = f"nodes[{i}]"
-            key = (str(n["model"]), int(n["bucket"]))
+            key = (str(n["model"]), json_int(n, "bucket"))
             nodes[key] = GraphNode(
                 bucket=_bucket(*key, width),
-                expected_accuracy=float(n["expected_accuracy"]),
-                sample_count=int(n["samples"]),
+                expected_accuracy=json_float(n, "expected_accuracy"),
+                sample_count=json_int(n, "samples"),
             )
         arcs: dict[tuple[NodeKey, NodeKey], float] = {}
         for i, a in enumerate(doc["arcs"]):
             where = f"arcs[{i}]"
-            arcs[(_node_key(a["from"]), _node_key(a["to"]))] = float(a["cost"])
+            arcs[(_node_key(a["from"]), _node_key(a["to"]))] = json_float(a, "cost")
         entries: dict[NodeKey, tuple[Prediction, ...]] = {}
         for i, e in enumerate(doc["entries"]):
             where = f"entries[{i}]"
             entries[_node_key(e["node"])] = tuple(
                 Prediction(
                     model=str(p["model"]),
-                    accuracy=float(p["accuracy"]),
-                    distance=float(p["distance"]),
+                    accuracy=json_float(p, "accuracy"),
+                    distance=json_float(p, "distance"),
                 )
                 for p in e["predictions"]
             )

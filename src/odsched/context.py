@@ -28,19 +28,14 @@ PATCH_SIZE = 64
 
 def ncc(p: GrayscaleImage, c: GrayscaleImage) -> float:
     """Normalized cross-correlation of two same-size images, in [-1, 1]."""
-    if p.pixels.shape != c.pixels.shape:
-        raise ValueError(
-            f"image dimensions differ: {p.pixels.shape} vs {c.pixels.shape}"
-        )
-    return _ncc_flat(p.pixels.ravel(), c.pixels.ravel())
+    return ncc_cached(FrameStats(p), FrameStats(c))
 
 
 class FrameStats:
-    """Centered pixels of one frame, precomputed for repeated NCC use.
+    """Centered pixels of one image, the input of :func:`ncc_cached`.
 
-    The scheduler correlates every incoming frame against the previous one;
-    caching the previous frame's centering halves the work per call while
-    producing bit-identical results to :func:`ncc`.
+    The scheduler correlates every incoming frame against the previous one
+    and keeps the previous frame's stats, so each frame is centered once.
     """
 
     __slots__ = ("image", "centered", "var", "mean")
@@ -54,41 +49,18 @@ class FrameStats:
 
 
 def ncc_cached(prev: FrameStats, cur: FrameStats) -> float:
-    """Same result as ``ncc(prev.image, cur.image)``, reusing cached stats."""
+    """NCC of the two stats' images; every NCC in this module is this one."""
     if prev.image.pixels.shape != cur.image.pixels.shape:
         raise ValueError(
             f"image dimensions differ: {prev.image.pixels.shape} "
             f"vs {cur.image.pixels.shape}"
         )
-    return _ncc_from_stats(
-        float(prev.centered @ cur.centered),
-        prev.var,
-        cur.var,
-        prev.mean,
-        cur.mean,
-    )
-
-
-def _ncc_flat(a: np.ndarray, b: np.ndarray) -> float:
-    ma = a.mean()
-    mb = b.mean()
-    ac = a - ma
-    bc = b - mb
-    return _ncc_from_stats(
-        float(ac @ bc), float(ac @ ac), float(bc @ bc), ma, mb
-    )
-
-
-def _ncc_from_stats(
-    cross: float, va: float, vb: float, mean_a: float, mean_b: float
-) -> float:
-    if va < _VAR_EPS or vb < _VAR_EPS:
-        if va < _VAR_EPS and vb < _VAR_EPS and abs(mean_a - mean_b) < _VAR_EPS:
-            return 1.0
-        return 0.0
+    if prev.var < _VAR_EPS or cur.var < _VAR_EPS:
+        both = prev.var < _VAR_EPS and cur.var < _VAR_EPS
+        return 1.0 if both and abs(prev.mean - cur.mean) < _VAR_EPS else 0.0
     # sqrt of the product (not product of sqrts) so that self-correlation
-    # divides va by exactly va and yields exactly 1.0.
-    r = cross / np.sqrt(va * vb)
+    # divides var by exactly var and yields exactly 1.0.
+    r = float(prev.centered @ cur.centered) / np.sqrt(prev.var * cur.var)
     return min(1.0, max(-1.0, float(r)))
 
 
@@ -125,9 +97,10 @@ def bbox_similarity(
     b = _crop(cur_frame, cur_box)
     if a.size == 0 or b.size == 0:
         return 0.0
-    a = _resample_nearest(a, PATCH_SIZE, PATCH_SIZE)
-    b = _resample_nearest(b, PATCH_SIZE, PATCH_SIZE)
-    return _ncc_flat(a.ravel(), b.ravel())
+    return ncc(
+        GrayscaleImage(_resample_nearest(a, PATCH_SIZE, PATCH_SIZE)),
+        GrayscaleImage(_resample_nearest(b, PATCH_SIZE, PATCH_SIZE)),
+    )
 
 
 def similarity(

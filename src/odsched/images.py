@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import json_int
+
 
 @dataclass(frozen=True, eq=False)
 class GrayscaleImage:
@@ -73,7 +75,7 @@ def encode_inline(img: GrayscaleImage) -> dict:
 def decode_inline(obj: dict) -> GrayscaleImage:
     """Inverse of `encode_inline`; a malformed block raises one of
     `errors.DECODE_ERRORS`."""
-    width, height = int(obj["width"]), int(obj["height"])
+    width, height = json_int(obj, "width"), json_int(obj, "height")
     raw = base64.b64decode(obj["pixels_b64"], validate=True)
     return GrayscaleImage.from_bytes(width, height, raw)
 

@@ -74,15 +74,8 @@ class SchedulerConfig:
 
     def params(self) -> dict[str, float | int]:
         """The seven scheduler parameters, knobs flattened, in sweep order."""
-        return {
-            "w_accuracy": self.knobs.w_accuracy,
-            "w_energy": self.knobs.w_energy,
-            "w_latency": self.knobs.w_latency,
-            "accuracy_threshold": self.accuracy_threshold,
-            "momentum": self.momentum,
-            "distance_threshold": self.distance_threshold,
-            "bucket_width": self.bucket_width,
-        }
+        values = asdict(self)
+        return {**values.pop("knobs"), **values}
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> SchedulerConfig:

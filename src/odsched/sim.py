@@ -47,6 +47,8 @@ from .errors import (
     ValidationError,
     decode_error,
     json_bool,
+    json_float,
+    json_int,
     read_json,
     write_json,
 )
@@ -57,15 +59,9 @@ from .scheduler import SchedulerConfig, SchedulerState, schedule
 SUCCESS_IOU = 0.5
 DEFAULT_OVERHEAD_S = 0.002
 
-_POLICY_KINDS = (
-    "shift",
-    "single",
-    "oracle_energy",
-    "oracle_accuracy",
-    "oracle_latency",
-)
 # Oracle objective -> the letter that names it in a policy string.
 _ORACLE_LETTERS = {"energy": "e", "accuracy": "a", "latency": "l"}
+_POLICY_KINDS = ("shift", "single", *(f"oracle_{o}" for o in _ORACLE_LETTERS))
 
 
 @dataclass(frozen=True)
@@ -217,7 +213,7 @@ def oracle_choose(frame: FrameRecord, catalog: Catalog, objective: str) -> Pair:
     When no such pair qualifies, every one is a candidate and the objective
     alone decides.
     """
-    if objective not in ("energy", "accuracy", "latency"):
+    if objective not in _ORACLE_LETTERS:
         raise ValueError(f"unknown oracle objective {objective!r}")
     if not frame.per_model:
         raise ValueError(f"frame {frame.frame_index} has no model outcomes")
@@ -507,21 +503,21 @@ def scenario_from_dict(doc: dict) -> Scenario:
         segments = []
         for i, raw in enumerate(doc["segments"]):
             where = f"segments[{i}]"
-            frames, seed = int(raw["frames"]), raw.get("texture_seed")
+            frames, seed = json_int(raw, "frames"), raw.get("texture_seed")
+            seed = None if seed is None else json_int(raw, "texture_seed")
             models = {}
             for name, params in raw["models"].items():
                 where = f"segments[{i}].models[{name!r}]"
                 models[name] = ModelBehavior(
-                    *(float(params[f.name]) for f in fields(ModelBehavior))
+                    *(json_float(params, f.name) for f in fields(ModelBehavior))
                 )
             where = f"segments[{i}]"
-            segments.append(Segment(frames, models, None if seed is None else int(seed)))
+            segments.append(Segment(frames, models, seed))
         where = "scenario"
         return Scenario(
             segments=tuple(segments),
-            width=int(doc.get("width", 64)),
-            height=int(doc.get("height", 64)),
             emit_frames=json_bool(doc, "emit_frames", True),
+            **{key: json_int(doc, key) for key in ("width", "height") if key in doc},
         )
     except DECODE_ERRORS as exc:
         raise decode_error(ScenarioError, where, exc) from None

@@ -373,6 +373,26 @@ def test_load_trace_wrong_json_type_names_line_and_field(
         load_trace(path, two_model_catalog)
 
 
+@pytest.mark.parametrize(
+    "image, message",
+    [
+        (b"P5\n", "truncated PGM header"),
+        (b"P5\n6x 4\n255\n" + bytes(24), "bad PGM header"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "PGM maxval 65535 unsupported"),
+        (b"P5\n0 4\n255\n", "image dimensions must be positive"),
+        ({"width": 0, "height": 8, "pixels_b64": ""}, "image dimensions must be positive"),
+    ],
+    ids=["truncated-header", "bad-integer", "maxval", "zero-width-pgm", "zero-width-inline"],
+)
+def test_load_trace_bad_frame_image_names_line(tmp_path, two_model_catalog, image, message):
+    if isinstance(image, bytes):
+        (tmp_path / "f.pgm").write_bytes(image)
+        image = "f.pgm"
+    path = _write_trace(tmp_path, [{"frame": 0, "frame_image": image, "detections": {}}])
+    with pytest.raises(TraceError, match=f"trace.ndjson:1: bad frame image: .*{message}"):
+        load_trace(path, two_model_catalog)
+
+
 def _framed(index, width=8, height=8, **fields):
     img = GrayscaleImage(np.zeros((height, width)))
     return {"frame": index, "frame_image": encode_inline(img), "detections": {}, **fields}

@@ -12,17 +12,29 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog, make_profile
-from odsched.catalog import catalog_from_dict, catalog_to_dict, load_trace
+from odsched.catalog import (
+    builtin_catalog,
+    catalog_from_dict,
+    catalog_to_dict,
+    load_catalog,
+    load_trace,
+    save_catalog,
+    save_trace,
+)
 from odsched.confidence_graph import (
     build_prediction_map,
+    load_prediction_map,
     prediction_map_from_dict,
     prediction_map_to_dict,
+    save_prediction_map,
 )
 from odsched.errors import ValidationError
 from odsched.images import GrayscaleImage, encode_inline
-from odsched.sim import gen_trace, scenario_from_dict
+from odsched.sim import ModelBehavior, Scenario, Segment, gen_trace, scenario_from_dict
 
 WRONG = (None, True, 1, 1.5, "x", [], {})
 
@@ -152,8 +164,98 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"^entries\[0\]: missing key 'node'$"),
         ("prediction map", ("arcs", 0, "from"), ["a"], r"^arcs\[0\]: "),
         ("prediction map", ("nodes", 0, "samples"), "x", r"^nodes\[0\]: "),
+        # Numbers must be JSON numbers: no string, boolean or truncated fraction.
+        ("catalog", ("energy_tolerance",), True,
+         r"^catalog: energy_tolerance: must be a number, got True$"),
+        ("catalog", ("profiles", 0, "avg_latency_s"), "0.1",
+         r"^profiles\[0\]: avg_latency_s: must be a number, got '0.1'$"),
+        ("scenario", ("segments", 0, "frames"), 2.7,
+         r"^segments\[0\]: frames: must be an integer, got 2.7$"),
+        ("scenario", ("width",), 64.9, r"^scenario: width: must be an integer, got 64.9$"),
+        ("scenario", ("segments", 0, "texture_seed"), "3",
+         r"^segments\[0\]: texture_seed: must be a number, got '3'$"),
+        ("scenario", ("segments", 0, "models", "a", "conf_mean"), "0.5",
+         r"^segments\[0\]\.models\['a'\]: conf_mean: must be a number, got '0.5'$"),
+        ("prediction map", ("bucket_width",), "0.1",
+         r"^prediction map: bucket_width: must be a number, got '0.1'$"),
+        ("prediction map", ("distance_threshold",), True,
+         r"^prediction map: distance_threshold: must be a number, got True$"),
+        ("prediction map", ("nodes", 0, "samples"), 1.9,
+         r"^nodes\[0\]: samples: must be an integer, got 1.9$"),
+        ("prediction map", ("nodes", 0, "bucket"), 1.5,
+         r"^nodes\[0\]: bucket: must be an integer, got 1.5$"),
+        ("prediction map", ("arcs", 0, "from", 1), 1.5,
+         r"^arcs\[0\]: bucket: must be an integer, got 1.5$"),
+        ("prediction map", ("arcs", 0, "cost"), "0.1",
+         r"^arcs\[0\]: cost: must be a number, got '0.1'$"),
+        ("prediction map", ("entries", 0, "node", 1), True,
+         r"^entries\[0\]: bucket: must be a number, got True$"),
+        ("prediction map", ("entries", 0, "predictions", 0, "distance"), "0",
+         r"^entries\[0\]: distance: must be a number, got '0'$"),
+        ("trace record", ("frame",), -1, r"trace.ndjson:1: 'frame': -1 must be >= 0$"),
+        ("trace record", ("detections", "a", "confidence"), "0.5",
+         r"trace.ndjson:1: frame 0: 'detections.a': confidence: must be a number, got '0.5'$"),
+        ("trace record", ("ground_truth", "x_max"), "5",
+         r"trace.ndjson:1: 'ground_truth': x_max: must be a number, got '5'$"),
+        ("trace record", ("frame_image", "height"), 7.5,
+         r"trace.ndjson:1: bad frame image: height: must be an integer, got 7.5$"),
     ],
 )
 def test_decode_error_names_the_entry(kind, path, value, message, tmp_path):
     with pytest.raises(ValidationError, match=message):
         _decode(kind, _replaced(_valid(kind), path, value), tmp_path)
+
+
+def _saved_twice(save, load, value, path) -> tuple[bytes, bytes]:
+    """The file `save` writes for `value`, then for what `load` reads back."""
+    save(value, path)
+    first = path.read_bytes()
+    save(load(path), path)
+    return first, path.read_bytes()
+
+
+def test_builtin_catalog_save_load_save_is_byte_identical(tmp_path):
+    first, second = _saved_twice(
+        save_catalog, load_catalog, builtin_catalog(), tmp_path / "catalog.json"
+    )
+    assert first == second
+
+
+_UNIT, _SIGMA = st.floats(0.0, 1.0), st.floats(0.0, 0.5)
+_SCENARIOS = st.builds(
+    Scenario,
+    segments=st.lists(
+        st.builds(
+            Segment,
+            frames=st.integers(1, 8),
+            models=st.dictionaries(
+                st.sampled_from(builtin_catalog().models),
+                st.builds(ModelBehavior, _UNIT, _SIGMA, _UNIT, _SIGMA),
+                min_size=1,
+                max_size=3,
+            ),
+            texture_seed=st.none() | st.integers(0, 9),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+    width=st.integers(8, 24),
+    height=st.integers(8, 24),
+    emit_frames=st.booleans(),
+)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_SCENARIOS, st.integers(0, 2**16))
+def test_trace_and_map_save_load_save_are_byte_identical(tmp_path_factory, scenario, seed):
+    tmp = tmp_path_factory.mktemp("round_trip")
+    trace = gen_trace(scenario, seed)
+    catalog = builtin_catalog()
+    first, second = _saved_twice(
+        save_trace, lambda path: load_trace(path, catalog), trace, tmp / "trace.ndjson"
+    )
+    assert first == second
+    first, second = _saved_twice(
+        save_prediction_map, load_prediction_map, build_prediction_map(trace), tmp / "map.json"
+    )
+    assert first == second

@@ -134,17 +134,27 @@ def test_accelerator_isolation():
     assert gpu.resident == ("a",) and dla.resident == ("d",)
 
 
-def test_randomized_lru_laws_against_reference_model():
+@pytest.mark.parametrize("capacity", [400, 800, 1500])
+def test_randomized_lru_laws_against_reference_model(capacity):
     rng = np.random.default_rng(42)
     sizes = {f"m{i}": int(rng.integers(50, 400)) for i in range(6)}
     profiles = [
         make_profile(m, "gpu", 0.1, 10.0, memory=s, load_time=0.1, load_energy=0.2)
         for m, s in sizes.items()
     ]
-    cat = make_catalog(profiles, capacities={"gpu": 800})
-    mem = AcceleratorMemory("gpu", 800)
+    cat = make_catalog(profiles, capacities={"gpu": capacity})
+    mem = AcceleratorMemory("gpu", capacity)
 
     recency: list[str] = []  # oldest first, reference implementation
+    # A prefill loads in priority order what fits, never evicting; the first
+    # model always fits, so naming it again takes the already-resident path.
+    priority = [f"m{i}" for i in rng.integers(0, 6, size=5)]
+    priority.append(priority[0])
+    for model in priority:
+        if model not in recency and sum(sizes[m] for m in recency) + sizes[model] <= capacity:
+            recency.append(model)
+    assert mem.prefill(cat, priority) == set(recency)
+    assert mem.resident == tuple(recency)
     total_time = 0.0
     loads = 0
     for _ in range(3000):
@@ -160,12 +170,12 @@ def test_randomized_lru_laws_against_reference_model():
             total_time += out.time_cost_s
             expected_evictions = []
             used = sum(sizes[m] for m in recency)
-            while used + sizes[model] > 800:
+            while used + sizes[model] > capacity:
                 victim = recency.pop(0)
                 expected_evictions.append(victim)
                 used -= sizes[victim]
             assert list(out.evicted) == expected_evictions
             recency.append(model)
-        assert mem.used_bytes <= 800
+        assert mem.used_bytes <= capacity
         assert mem.resident == tuple(recency)
     assert total_time == pytest.approx(loads * 0.1)
