@@ -9,7 +9,8 @@ Built offline from a characterization trace in five stages:
 3. Normalize edge weights per node and invert them, so an arc leaving a node
    along its strongest edge costs 0 and weaker edges cost up to 1.
 4. From each node, collect all nodes within a cumulative arc-cost threshold
-   (cheapest-path distances).
+   (cheapest-path distances).  One bounded Dijkstra over a sparse matrix of
+   the arcs yields every node's neighborhood at once.
 5. Collapse multiple nodes of the same model into one prediction via an
    inverse-distance weighted average of their expected accuracies.
 
@@ -21,10 +22,15 @@ characterization.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
+
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .catalog import CharacterizationTrace, ModelId
 from .errors import (
@@ -89,12 +95,6 @@ class CostGraph:
     nodes: Mapping[NodeKey, GraphNode]
     arcs: Mapping[tuple[NodeKey, NodeKey], float]
 
-    def adjacency(self) -> dict[NodeKey, list[tuple[NodeKey, float]]]:
-        adj: dict[NodeKey, list[tuple[NodeKey, float]]] = {k: [] for k in self.nodes}
-        for (src, dst), cost in sorted(self.arcs.items()):
-            adj[src].append((dst, cost))
-        return adj
-
 
 @dataclass(frozen=True)
 class PredictionMap:
@@ -150,20 +150,18 @@ def build_cograph(trace: CharacterizationTrace, bucket_width: float) -> CoGraph:
         raise ValueError("empty trace")
     bucket_count(bucket_width)  # validates width
     iou_sum: dict[NodeKey, float] = {}
-    samples: dict[NodeKey, int] = {}
-    edges: dict[tuple[NodeKey, NodeKey], int] = {}
+    samples: Counter[NodeKey] = Counter()
+    edges: Counter[tuple[NodeKey, NodeKey]] = Counter()
     for fr in trace.frames:
         active: list[NodeKey] = []
         for model in sorted(fr.per_model):
             out = fr.per_model[model]
             key = (model, bucket_index(out.confidence, bucket_width))
             iou_sum[key] = iou_sum.get(key, 0.0) + out.iou
-            samples[key] = samples.get(key, 0) + 1
             active.append(key)
-        for i, a in enumerate(active):
-            for b in active[i + 1 :]:
-                edge = (a, b) if a <= b else (b, a)
-                edges[edge] = edges.get(edge, 0) + 1
+        samples.update(active)
+        # Keys of distinct models in model order: each pair is already sorted.
+        edges.update(itertools.combinations(active, 2))
     nodes = {
         key: GraphNode(
             bucket=_bucket(key[0], key[1], bucket_width),
@@ -172,7 +170,7 @@ def build_cograph(trace: CharacterizationTrace, bucket_width: float) -> CoGraph:
         )
         for key in sorted(samples)
     }
-    return CoGraph(bucket_width=bucket_width, nodes=nodes, edges=edges)
+    return CoGraph(bucket_width=bucket_width, nodes=nodes, edges=dict(edges))
 
 
 def prune_sparse_nodes(g: CoGraph, min_samples: int) -> CoGraph:
@@ -212,13 +210,15 @@ def neighborhood(
 
     Returns minimum distances, including the start node at 0.  Implemented
     as uniform-cost search; with non-negative arc costs this equals the
-    cheapest simple path per node.
+    cheapest simple path per node.  This is the single-node reference for
+    `_neighborhoods`, which the build uses.
     """
     if start not in cg.nodes:
         raise KeyError(f"start node {start} not in graph")
-    if not (math.isfinite(distance_threshold) and distance_threshold >= 0):
-        raise ValueError("distance threshold must be finite and >= 0")
-    adj = cg.adjacency()
+    _check_threshold(distance_threshold)
+    adj: dict[NodeKey, list[tuple[NodeKey, float]]] = {k: [] for k in cg.nodes}
+    for (src, dst), cost in cg.arcs.items():
+        adj[src].append((dst, cost))
     dist: dict[NodeKey, float] = {}
     heap: list[tuple[float, NodeKey]] = [(0.0, start)]
     while heap:
@@ -233,6 +233,37 @@ def neighborhood(
             if nd <= distance_threshold:
                 heapq.heappush(heap, (nd, nxt))
     return dist
+
+
+def _neighborhoods(
+    cg: CostGraph, distance_threshold: float
+) -> dict[NodeKey, dict[NodeKey, float]]:
+    """Stage 4 for every node at once: `neighborhood(cg, k, t)` for each k.
+
+    One bounded Dijkstra over the arcs as a sparse matrix, nodes indexed in
+    sorted key order.  The matrix keeps zero-cost arcs as explicit entries,
+    and `limit` keeps a node at exactly the threshold, as `neighborhood`
+    does; every other distance comes back infinite.
+    """
+    _check_threshold(distance_threshold)
+    keys = sorted(cg.nodes)
+    index = {k: i for i, k in enumerate(keys)}
+    rows = [index[src] for src, _ in cg.arcs]
+    cols = [index[dst] for _, dst in cg.arcs]
+    costs = csr_matrix(
+        (list(cg.arcs.values()), (rows, cols)), shape=(len(keys), len(keys))
+    )
+    dist = dijkstra(costs, directed=True, limit=distance_threshold)
+    # Python floats row by row: per-element numpy access costs more.
+    return {
+        start: {keys[j]: d for j, d in enumerate(row) if d != math.inf}
+        for start, row in zip(keys, dist.tolist())
+    }
+
+
+def _check_threshold(distance_threshold: float) -> None:
+    if not (math.isfinite(distance_threshold) and distance_threshold >= 0):
+        raise ValueError("distance threshold must be finite and >= 0")
 
 
 def consolidate(neigh: Iterable[tuple[GraphNode, float]]) -> tuple[Prediction, ...]:
@@ -267,10 +298,10 @@ def build_prediction_map(
     """Run all stages over a trace and compile the runtime lookup map."""
     cograph = prune_sparse_nodes(build_cograph(trace, bucket_width), min_samples)
     cost = normalize_invert(cograph)
-    entries: dict[NodeKey, tuple[Prediction, ...]] = {}
-    for key in sorted(cost.nodes):
-        neigh = neighborhood(cost, key, distance_threshold)
-        entries[key] = consolidate((cost.nodes[k], d) for k, d in neigh.items())
+    entries = {
+        key: consolidate((cost.nodes[k], d) for k, d in neigh.items())
+        for key, neigh in _neighborhoods(cost, distance_threshold).items()
+    }
     return PredictionMap(
         bucket_width=bucket_width,
         distance_threshold=distance_threshold,
@@ -340,6 +371,14 @@ def prediction_map_to_dict(pm: PredictionMap) -> dict:
     }
 
 
+def _json_range(doc: dict, key: str, hi: float) -> float:
+    """`doc[key]`, a JSON number in [0, hi]; NaN is outside."""
+    value = json_float(doc, key)
+    if not 0.0 <= value <= hi:
+        raise ValueError(f"{key}: {value} outside [0, {hi:g}]")
+    return value
+
+
 def _node_key(pair: list) -> NodeKey:
     model, bucket = pair
     return (str(model), json_int({"bucket": bucket}, "bucket"))
@@ -362,21 +401,21 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
             key = (str(n["model"]), json_int(n, "bucket"))
             nodes[key] = GraphNode(
                 bucket=_bucket(*key, width),
-                expected_accuracy=json_float(n, "expected_accuracy"),
+                expected_accuracy=_json_range(n, "expected_accuracy", 1.0),
                 sample_count=json_int(n, "samples"),
             )
         arcs: dict[tuple[NodeKey, NodeKey], float] = {}
         for i, a in enumerate(doc["arcs"]):
             where = f"arcs[{i}]"
-            arcs[(_node_key(a["from"]), _node_key(a["to"]))] = json_float(a, "cost")
+            arcs[(_node_key(a["from"]), _node_key(a["to"]))] = _json_range(a, "cost", 1.0)
         entries: dict[NodeKey, tuple[Prediction, ...]] = {}
         for i, e in enumerate(doc["entries"]):
             where = f"entries[{i}]"
             entries[_node_key(e["node"])] = tuple(
                 Prediction(
                     model=str(p["model"]),
-                    accuracy=json_float(p, "accuracy"),
-                    distance=json_float(p, "distance"),
+                    accuracy=_json_range(p, "accuracy", 1.0),
+                    distance=_json_range(p, "distance", threshold),
                 )
                 for p in e["predictions"]
             )

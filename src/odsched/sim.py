@@ -479,6 +479,8 @@ class Segment:
             raise ScenarioError("models must be a non-empty mapping")
         if not all(self.models):
             raise ScenarioError("models has an empty model name")
+        if self.texture_seed is not None and self.texture_seed < 0:
+            raise ScenarioError(f"texture_seed must be >= 0, got {self.texture_seed}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from odsched.catalog import (
     Accelerator,
@@ -14,7 +15,7 @@ from odsched.catalog import (
     builtin_catalog,
 )
 from odsched.confidence_graph import CostGraph, build_cograph, normalize_invert
-from odsched.sim import demo_scenario, gen_trace
+from odsched.sim import ModelBehavior, Scenario, Segment, demo_scenario, gen_trace
 
 
 def make_profile(
@@ -118,6 +119,31 @@ def random_cost_graph(rng: np.random.Generator) -> CostGraph:
         )
     rows = [r for r in rows if r] or [{models[0]: (0.5, 0.5)}]
     return normalize_invert(build_cograph(make_trace(rows), width))
+
+
+_UNIT, _SIGMA = st.floats(0.0, 1.0), st.floats(0.0, 0.5)
+# Small scenarios over the builtin models, with and without frames.
+SCENARIOS = st.builds(
+    Scenario,
+    segments=st.lists(
+        st.builds(
+            Segment,
+            frames=st.integers(1, 8),
+            models=st.dictionaries(
+                st.sampled_from(builtin_catalog().models),
+                st.builds(ModelBehavior, _UNIT, _SIGMA, _UNIT, _SIGMA),
+                min_size=1,
+                max_size=3,
+            ),
+            texture_seed=st.none() | st.integers(0, 9),
+        ),
+        min_size=1,
+        max_size=3,
+    ).map(tuple),
+    width=st.integers(8, 24),
+    height=st.integers(8, 24),
+    emit_frames=st.booleans(),
+)
 
 
 @pytest.fixture(scope="session")

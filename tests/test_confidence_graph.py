@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_trace
+from conftest import SCENARIOS, make_trace
 from odsched.confidence_graph import (
     Bucket,
     CoGraph,
@@ -24,8 +27,10 @@ from odsched.confidence_graph import (
     prune_sparse_nodes,
     save_prediction_map,
     EPSILON,
+    _neighborhoods,
 )
 from odsched.errors import ValidationError
+from odsched.sim import gen_trace
 
 # ---------------------------------------------------------------------------
 # buckets
@@ -237,6 +242,127 @@ def test_neighborhood_monotone_in_threshold():
             small = neighborhood(cg, start, 0.2)
             large = neighborhood(cg, start, 0.6)
             assert set(small) <= set(large)
+
+
+# ---------------------------------------------------------------------------
+# every neighborhood in one call
+
+
+def _per_node(cg: CostGraph, threshold: float) -> dict:
+    return {start: neighborhood(cg, start, threshold) for start in cg.nodes}
+
+
+def test_neighborhoods_match_neighborhood_random():
+    from conftest import random_cost_graph
+
+    rng = np.random.default_rng(9)
+    for _ in range(60):
+        cg = random_cost_graph(rng)
+        for threshold in (0.0, 0.2, 0.5, 0.9, 3.0):
+            assert _neighborhoods(cg, threshold) == _per_node(cg, threshold)
+
+
+_A, _B, _C, _D = ("a", 0), ("b", 0), ("c", 0), ("d", 0)
+
+
+@pytest.mark.parametrize(
+    "arcs, keys, threshold, expected",
+    [
+        pytest.param(
+            {(_A, _B): 0.25, (_B, _C): 0.25},
+            [_A, _B, _C],
+            0.5,
+            {_A: {_A: 0.0, _B: 0.25, _C: 0.5}, _B: {_B: 0.0, _C: 0.25}, _C: {_C: 0.0}},
+            id="node-exactly-at-threshold",
+        ),
+        pytest.param(
+            {(_A, _B): 0.25, (_B, _C): 0.25},
+            [_A, _B, _C],
+            0.49,
+            {_A: {_A: 0.0, _B: 0.25}, _B: {_B: 0.0, _C: 0.25}, _C: {_C: 0.0}},
+            id="node-just-past-threshold",
+        ),
+        pytest.param(
+            {(_A, _B): 0.0, (_B, _C): 0.0, (_C, _A): 0.4},
+            [_A, _B, _C],
+            0.0,
+            {_A: {_A: 0.0, _B: 0.0, _C: 0.0}, _B: {_B: 0.0, _C: 0.0}, _C: {_C: 0.0}},
+            id="zero-cost-arcs-at-threshold-zero",
+        ),
+        pytest.param(
+            {(_A, _B): 0.2, (_B, _D): 0.3, (_A, _C): 0.3, (_C, _D): 0.2, (_A, _D): 0.7},
+            [_A, _B, _C, _D],
+            1.0,
+            {
+                _A: {_A: 0.0, _B: 0.2, _C: 0.3, _D: 0.5},
+                _B: {_B: 0.0, _D: 0.3},
+                _C: {_C: 0.0, _D: 0.2},
+                _D: {_D: 0.0},
+            },
+            id="tied-paths",
+        ),
+        pytest.param(
+            {(_A, _B): 0.1, (_B, _A): 0.1},
+            [_A, _B, _C],
+            1.0,
+            {_A: {_A: 0.0, _B: 0.1}, _B: {_B: 0.0, _A: 0.1}, _C: {_C: 0.0}},
+            id="node-without-arcs",
+        ),
+        pytest.param({}, [_A], 0.5, {_A: {_A: 0.0}}, id="one-node"),
+    ],
+)
+def test_neighborhoods_hand_built(arcs, keys, threshold, expected):
+    cg = _chain_graph(arcs, keys)
+    assert _neighborhoods(cg, threshold) == expected
+    assert _per_node(cg, threshold) == expected
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1])
+def test_neighborhoods_reject_bad_threshold(threshold):
+    cg = _chain_graph({}, [_A])
+    with pytest.raises(ValueError, match="^distance threshold must be finite and >= 0$"):
+        _neighborhoods(cg, threshold)
+
+
+def _reference_entries(cost: CostGraph, threshold: float) -> dict:
+    return {
+        key: consolidate((cost.nodes[k], d) for k, d in neigh.items())
+        for key, neigh in _per_node(cost, threshold).items()
+    }
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    SCENARIOS,
+    st.integers(0, 2**16),
+    st.sampled_from([0.1, 0.2, 0.25, 0.5]),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0),
+    st.integers(1, 3),
+)
+def test_build_entries_equal_per_node_neighborhood(
+    scenario, seed, width, threshold, min_samples
+):
+    trace = gen_trace(replace(scenario, emit_frames=False), seed)
+    cost = normalize_invert(prune_sparse_nodes(build_cograph(trace, width), min_samples))
+    pm = build_prediction_map(trace, width, threshold, min_samples)
+    assert pm.entries == _reference_entries(cost, threshold)
+
+
+def test_64_model_build_matches_neighborhood_on_sampled_nodes():
+    from perfbench.workloads import many_models_scenario
+
+    # One frame per segment keeps the trace short; the graph still has every
+    # segment's nodes (about 600) and about 125k arcs.
+    full = many_models_scenario(64)
+    scenario = replace(full, segments=tuple(replace(s, frames=1) for s in full.segments))
+    trace = gen_trace(scenario, 0)
+    pm = build_prediction_map(trace)
+    cost = normalize_invert(build_cograph(trace, pm.bucket_width))
+    assert len(cost.nodes) > 500
+    keys = sorted(cost.nodes)
+    for key in keys[:: len(keys) // 10]:
+        neigh = neighborhood(cost, key, pm.distance_threshold)
+        assert pm.entries[key] == consolidate((cost.nodes[k], d) for k, d in neigh.items())
 
 
 # ---------------------------------------------------------------------------

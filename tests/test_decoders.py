@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_profile
+from conftest import SCENARIOS, make_catalog, make_profile
 from odsched.catalog import (
     builtin_catalog,
     catalog_from_dict,
@@ -34,7 +34,7 @@ from odsched.confidence_graph import (
 )
 from odsched.errors import ValidationError
 from odsched.images import GrayscaleImage, encode_inline
-from odsched.sim import ModelBehavior, Scenario, Segment, gen_trace, scenario_from_dict
+from odsched.sim import gen_trace, scenario_from_dict
 
 WRONG = (None, True, 1, 1.5, "x", [], {})
 
@@ -192,6 +192,23 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"^entries\[0\]: bucket: must be a number, got True$"),
         ("prediction map", ("entries", 0, "predictions", 0, "distance"), "0",
          r"^entries\[0\]: distance: must be a number, got '0'$"),
+        # Map numbers must lie in the ranges every build writes.
+        ("prediction map", ("nodes", 0, "expected_accuracy"), 7.0,
+         r"^nodes\[0\]: expected_accuracy: 7.0 outside \[0, 1\]$"),
+        ("prediction map", ("nodes", 0, "expected_accuracy"), float("nan"),
+         r"^nodes\[0\]: expected_accuracy: nan outside \[0, 1\]$"),
+        ("prediction map", ("entries", 0, "predictions", 0, "accuracy"), 7.0,
+         r"^entries\[0\]: accuracy: 7.0 outside \[0, 1\]$"),
+        ("prediction map", ("entries", 0, "predictions", 0, "accuracy"), float("nan"),
+         r"^entries\[0\]: accuracy: nan outside \[0, 1\]$"),
+        ("prediction map", ("entries", 0, "predictions", 0, "accuracy"), -0.1,
+         r"^entries\[0\]: accuracy: -0.1 outside \[0, 1\]$"),
+        ("prediction map", ("entries", 0, "predictions", 0, "distance"), -1.0,
+         r"^entries\[0\]: distance: -1.0 outside \[0, 0.5\]$"),
+        ("prediction map", ("entries", 0, "predictions", 0, "distance"), 0.6,
+         r"^entries\[0\]: distance: 0.6 outside \[0, 0.5\]$"),
+        ("prediction map", ("arcs", 0, "cost"), 5.0, r"^arcs\[0\]: cost: 5.0 outside \[0, 1\]$"),
+        ("prediction map", ("arcs", 0, "cost"), -0.5, r"^arcs\[0\]: cost: -0.5 outside \[0, 1\]$"),
         ("trace record", ("frame",), -1, r"trace.ndjson:1: 'frame': -1 must be >= 0$"),
         ("trace record", ("detections", "a", "confidence"), "0.5",
          r"trace.ndjson:1: frame 0: 'detections.a': confidence: must be a number, got '0.5'$"),
@@ -221,32 +238,8 @@ def test_builtin_catalog_save_load_save_is_byte_identical(tmp_path):
     assert first == second
 
 
-_UNIT, _SIGMA = st.floats(0.0, 1.0), st.floats(0.0, 0.5)
-_SCENARIOS = st.builds(
-    Scenario,
-    segments=st.lists(
-        st.builds(
-            Segment,
-            frames=st.integers(1, 8),
-            models=st.dictionaries(
-                st.sampled_from(builtin_catalog().models),
-                st.builds(ModelBehavior, _UNIT, _SIGMA, _UNIT, _SIGMA),
-                min_size=1,
-                max_size=3,
-            ),
-            texture_seed=st.none() | st.integers(0, 9),
-        ),
-        min_size=1,
-        max_size=3,
-    ).map(tuple),
-    width=st.integers(8, 24),
-    height=st.integers(8, 24),
-    emit_frames=st.booleans(),
-)
-
-
 @settings(max_examples=25, derandomize=True, deadline=None)
-@given(_SCENARIOS, st.integers(0, 2**16))
+@given(SCENARIOS, st.integers(0, 2**16))
 def test_trace_and_map_save_load_save_are_byte_identical(tmp_path_factory, scenario, seed):
     tmp = tmp_path_factory.mktemp("round_trip")
     trace = gen_trace(scenario, seed)

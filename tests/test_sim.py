@@ -449,6 +449,11 @@ def test_scenario_validation_names_offending_field():
         scenario_from_dict({**demo, "emit_frames": "false"})
     with pytest.raises(ScenarioError, match="frames"):
         scenario_from_dict({"segments": [{"models": {"a": {}}}]})
+    seeded = {**demo, "segments": [{**demo["segments"][0], "texture_seed": -1}]}
+    with pytest.raises(
+        ScenarioError, match=r"^segments\[0\]: texture_seed must be >= 0, got -1$"
+    ):
+        scenario_from_dict(seeded)
     with pytest.raises(ScenarioError, match="conf_mean"):
         scenario_from_dict({"segments": [{"frames": 3, "models": {"a": {}}}]})
     with pytest.raises(ScenarioError, match="iou_mean"):
