@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -65,6 +66,8 @@ Pair = tuple[ModelId, AcceleratorId]
 
 DEFAULT_ENERGY_TOLERANCE = 0.05
 
+_FLOAT_MAX = sys.float_info.max
+
 
 # ---------------------------------------------------------------------------
 # Geometry
@@ -80,6 +83,13 @@ class BoundingBox:
     y_max: float
 
     def __post_init__(self) -> None:
+        # The valid case in one chained test; NaN, infinity and a number too
+        # large for a float fail it and get the checks below, which explain.
+        if (
+            0 <= self.x_min <= self.x_max <= _FLOAT_MAX
+            and 0 <= self.y_min <= self.y_max <= _FLOAT_MAX
+        ):
+            return
         coords = (self.x_min, self.y_min, self.x_max, self.y_max)
         if not all(math.isfinite(c) for c in coords):
             raise ValueError(f"box coordinates must be finite, got {coords}")
@@ -371,8 +381,12 @@ class CharacterizationTrace:
 
 
 def _box_from_dict(obj: dict) -> BoundingBox:
-    coords = (json_float(obj, k) for k in ("x_min", "y_min", "x_max", "y_max"))
-    return BoundingBox(*coords)
+    return BoundingBox(
+        json_float(obj, "x_min"),
+        json_float(obj, "y_min"),
+        json_float(obj, "x_max"),
+        json_float(obj, "y_max"),
+    )
 
 
 def _box_to_dict(box: BoundingBox) -> dict:

@@ -4,8 +4,10 @@ Built offline from a characterization trace in five stages:
 
 1. Bucket each model's confidence range into nodes carrying the mean IoU of
    the frames that landed in the bucket.
-2. For every frame, add (or increment) an edge between each pair of
-   distinct-model nodes active on that frame.
+2. Weight the edge between each pair of distinct-model nodes by the number
+   of frames on which both were active.  Frames are counted per distinct
+   set of active nodes, and each set adds its pairs once, weighted by how
+   many frames had it; a trace repeats few sets.
 3. Normalize edge weights per node and invert them, so an arc leaving a node
    along its strongest edge costs 0 and weaker edges cost up to 1.
 4. From each node, collect all nodes within a cumulative arc-cost threshold
@@ -28,9 +30,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
-
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .catalog import CharacterizationTrace, ModelId
 from .errors import (
@@ -126,11 +125,15 @@ def bucket_index(confidence: float, bucket_width: float) -> int:
     sitting exactly on a decimal boundary (0.7 / 0.1) land in the upper
     bucket despite binary-float division error.
     """
+    return _bucket_index(confidence, bucket_width, bucket_count(bucket_width))
+
+
+def _bucket_index(confidence: float, bucket_width: float, n_buckets: int) -> int:
+    """`bucket_index` with the width's `bucket_count` already known."""
     if not (0.0 <= confidence <= 1.0):
         raise ValueError(f"confidence {confidence} outside [0, 1]")
-    n = bucket_count(bucket_width)
     idx = math.floor(round(confidence / bucket_width, 9))
-    return min(idx, n - 1)
+    return min(idx, n_buckets - 1)
 
 
 def bucket_for(model: ModelId, confidence: float, bucket_width: float) -> Bucket:
@@ -148,20 +151,25 @@ def build_cograph(trace: CharacterizationTrace, bucket_width: float) -> CoGraph:
     """Stage 1+2: bucket statistics and pairwise co-occurrence counts."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    bucket_count(bucket_width)  # validates width
+    n_buckets = bucket_count(bucket_width)  # validates width
     iou_sum: dict[NodeKey, float] = {}
-    samples: Counter[NodeKey] = Counter()
-    edges: Counter[tuple[NodeKey, NodeKey]] = Counter()
+    active_sets: Counter[tuple[NodeKey, ...]] = Counter()
     for fr in trace.frames:
         active: list[NodeKey] = []
         for model in sorted(fr.per_model):
             out = fr.per_model[model]
-            key = (model, bucket_index(out.confidence, bucket_width))
+            key = (model, _bucket_index(out.confidence, bucket_width, n_buckets))
             iou_sum[key] = iou_sum.get(key, 0.0) + out.iou
             active.append(key)
-        samples.update(active)
+        active_sets[tuple(active)] += 1
+    # Sets in order of first frame, so each edge is inserted on the frame
+    # that first had it, as a per-frame count would.
+    samples: Counter[NodeKey] = Counter()
+    edges: Counter[tuple[NodeKey, NodeKey]] = Counter()
+    for active, frames in active_sets.items():
+        samples.update(dict.fromkeys(active, frames))
         # Keys of distinct models in model order: each pair is already sorted.
-        edges.update(itertools.combinations(active, 2))
+        edges.update(dict.fromkeys(itertools.combinations(active, 2), frames))
     nodes = {
         key: GraphNode(
             bucket=_bucket(key[0], key[1], bucket_width),
@@ -245,6 +253,11 @@ def _neighborhoods(
     and `limit` keeps a node at exactly the threshold, as `neighborhood`
     does; every other distance comes back infinite.
     """
+    # Imported here: the rest of the package, and every command that does
+    # not build a graph, need no scipy.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     _check_threshold(distance_threshold)
     keys = sorted(cg.nodes)
     index = {k: i for i, k in enumerate(keys)}
@@ -379,9 +392,19 @@ def _json_range(doc: dict, key: str, hi: float) -> float:
     return value
 
 
-def _node_key(pair: list) -> NodeKey:
+def _known_node(pair: list, nodes: Mapping[NodeKey, GraphNode]) -> NodeKey:
+    """The node key `[model, bucket]`, which must name one of `nodes`."""
     model, bucket = pair
-    return (str(model), json_int({"bucket": bucket}, "bucket"))
+    key = (str(model), json_int({"bucket": bucket}, "bucket"))
+    if key not in nodes:
+        raise ValueError(f"unknown node {key}")
+    return key
+
+
+def _check_new(key: object, seen: Mapping, what: str) -> None:
+    """A map file lists each node, arc and entry once."""
+    if key in seen:
+        raise ValueError(f"duplicate {what} {key}")
 
 
 def prediction_map_from_dict(doc: dict) -> PredictionMap:
@@ -399,6 +422,7 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
         for i, n in enumerate(doc["nodes"]):
             where = f"nodes[{i}]"
             key = (str(n["model"]), json_int(n, "bucket"))
+            _check_new(key, nodes, "node")
             nodes[key] = GraphNode(
                 bucket=_bucket(*key, width),
                 expected_accuracy=_json_range(n, "expected_accuracy", 1.0),
@@ -407,11 +431,15 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
         arcs: dict[tuple[NodeKey, NodeKey], float] = {}
         for i, a in enumerate(doc["arcs"]):
             where = f"arcs[{i}]"
-            arcs[(_node_key(a["from"]), _node_key(a["to"]))] = _json_range(a, "cost", 1.0)
+            arc = (_known_node(a["from"], nodes), _known_node(a["to"], nodes))
+            _check_new(arc, arcs, "arc")
+            arcs[arc] = _json_range(a, "cost", 1.0)
         entries: dict[NodeKey, tuple[Prediction, ...]] = {}
         for i, e in enumerate(doc["entries"]):
             where = f"entries[{i}]"
-            entries[_node_key(e["node"])] = tuple(
+            key = _known_node(e["node"], nodes)
+            _check_new(key, entries, "entry")
+            entries[key] = tuple(
                 Prediction(
                     model=str(p["model"]),
                     accuracy=_json_range(p, "accuracy", 1.0),

@@ -6,6 +6,12 @@ Every decoder runs in one `try` that labels the field it is decoding; any of
 `json_float`, `json_int` and `json_bool` read a field that must hold that
 JSON type, and name the field when it does not.
 
+Checks on the per-record path test the valid case first, in one cheap
+comparison, and build an explanation only when that test fails, inside the
+same function: `json_float` returns a JSON float at once and sends every
+other value through the full number check.  A failing value therefore gets
+the same error, with the same message, as it would without the fast test.
+
 Every whole-file JSON input is parsed by `read_json`, which reports an
 unreadable or unparsable file as the caller's `ValidationError` subclass.
 Every whole-file JSON output is written by `write_json` in one format:
@@ -51,6 +57,9 @@ def decode_error(
 def json_float(doc: Mapping[str, Any], key: str) -> float:
     """`doc[key]`, a JSON number, as a float; booleans and strings are not
     numbers."""
+    value = doc[key]
+    if type(value) is float:
+        return value
     return float(_json_number(doc, key))
 
 

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .catalog import (
     NO_DETECTION,
@@ -425,6 +424,9 @@ def sweep_correlations(
     A response that is the same for every configuration has no rank
     correlation; it is recorded as None.
     """
+    # Imported here: importing scipy.stats costs more than a demo replay.
+    from scipy import stats
+
     if not results:
         raise ValueError("no sweep results to correlate")
     responses = {
@@ -438,7 +440,7 @@ def sweep_correlations(
         if len(set(xs)) < 2:
             continue
         summary[name] = {
-            metric: float(_scipy_stats.spearmanr(xs, ys).statistic)
+            metric: float(stats.spearmanr(xs, ys).statistic)
             if len(set(ys)) > 1
             else None
             for metric, ys in responses.items()

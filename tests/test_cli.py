@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import odsched
 from odsched.catalog import builtin_catalog, load_trace, save_catalog, save_trace
 from odsched.cli import main
 from odsched.sim import demo_scenario, gen_trace
@@ -301,3 +306,13 @@ def test_env_var_overrides_default_catalog(tmp_path, trace_file, monkeypatch):
          "--out", str(tmp_path / "r.json")]
     )
     assert code == 0
+
+
+def test_import_loads_neither_scipy_stats_nor_sparse():
+    # A fresh interpreter: this one has loaded scipy for other tests.
+    code = "import sys, odsched; print(sorted({'scipy.stats', 'scipy.sparse'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(odsched.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

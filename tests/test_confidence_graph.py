@@ -15,6 +15,7 @@ from odsched.confidence_graph import (
     CostGraph,
     GraphNode,
     bucket_for,
+    bucket_index,
     build_cograph,
     build_prediction_map,
     consolidate,
@@ -131,6 +132,66 @@ def test_prune_sparse_nodes():
     pruned = prune_sparse_nodes(g, 2)
     assert set(pruned.nodes) == {("a", 5)}
     assert pruned.edges == {}
+
+
+def _per_frame_cograph(trace, width: float) -> tuple[dict, list]:
+    """Reference for `build_cograph`: every frame counts its own pairs.
+
+    Returns {key: (sample_count, expected_accuracy)} and the edges as a list,
+    in insertion order."""
+    iou_sum: dict = {}
+    samples: dict = {}
+    edges: dict = {}
+    for fr in trace.frames:
+        active = []
+        for model in sorted(fr.per_model):
+            out = fr.per_model[model]
+            key = (model, bucket_index(out.confidence, width))
+            iou_sum[key] = iou_sum.get(key, 0.0) + out.iou
+            samples[key] = samples.get(key, 0) + 1
+            active.append(key)
+        for i, a in enumerate(active):
+            for b in active[i + 1 :]:
+                edges[(a, b)] = edges.get((a, b), 0) + 1
+    nodes = {k: (samples[k], iou_sum[k] / samples[k]) for k in sorted(samples)}
+    return nodes, list(edges.items())
+
+
+def _assert_matches_per_frame(trace, width: float) -> None:
+    g = build_cograph(trace, width)
+    nodes, edges = _per_frame_cograph(trace, width)
+    assert list(g.nodes) == list(nodes)
+    for key, (count, accuracy) in nodes.items():
+        assert g.nodes[key].sample_count == count
+        # Bit-equal: the IoU sums accumulate in the same order.
+        assert g.nodes[key].expected_accuracy.hex() == accuracy.hex()
+    assert list(g.edges.items()) == edges
+
+
+_AB = {"a": (0.55, 0.5), "b": (0.45, 0.3)}
+_ABC = {"a": (0.55, 0.1), "b": (0.45, 0.7), "c": (0.95, 0.9)}
+_HAND_TRACES = {
+    "model subsets": [_ABC, {"a": (0.15, 0.2), "c": (0.35, 0.3)}, {"b": (0.75, 0.4)}, _AB],
+    "single model": [{"a": (0.55, 0.1)}, {"a": (0.55, 0.3)}, {"a": (0.05, 0.7)}],
+    "repeated set": [_AB] * 5,
+    "interleaved sets": [_AB, _ABC, _AB, {"c": (0.1, 0.2)}, _ABC, _AB, {"c": (0.1, 0.6)}],
+    # The same set of active nodes from different confidences and IoUs.
+    "one set, new values": [_AB, {"a": (0.51, 0.9), "b": (0.49, 0.1)}, _AB],
+    # A pair first seen in a later set than the set that repeats.
+    "late pair": [_AB, _AB, {"b": (0.45, 0.3), "c": (0.95, 0.9)}, _ABC, _AB],
+}
+
+
+@pytest.mark.parametrize("rows", _HAND_TRACES.values(), ids=list(_HAND_TRACES))
+@pytest.mark.parametrize("width", [0.1, 0.25, 1.0])
+def test_cograph_equals_per_frame_count_on_hand_traces(rows, width):
+    _assert_matches_per_frame(make_trace(rows), width)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(SCENARIOS, st.integers(0, 2**16), st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0]))
+def test_cograph_equals_per_frame_count(scenario, seed, width):
+    _assert_matches_per_frame(gen_trace(replace(scenario, emit_frames=False), seed), width)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIOS, make_catalog, make_profile
 from odsched.catalog import (
+    BoundingBox,
     builtin_catalog,
     catalog_from_dict,
     catalog_to_dict,
@@ -32,7 +35,7 @@ from odsched.confidence_graph import (
     prediction_map_to_dict,
     save_prediction_map,
 )
-from odsched.errors import ValidationError
+from odsched.errors import ValidationError, _json_number, json_float
 from odsched.images import GrayscaleImage, encode_inline
 from odsched.sim import gen_trace, scenario_from_dict
 
@@ -119,6 +122,16 @@ def _replaced(doc, path, value):
     else:
         parent[path[-1]] = value
     return doc
+
+
+_MAP = _valid("prediction map")
+
+
+def _key_re(node) -> str:
+    """A pattern for the node key that `node`, a map node or a `[model,
+    bucket]` pair, stands for."""
+    model, bucket = (node["model"], node["bucket"]) if isinstance(node, dict) else node
+    return rf"\('{model}', {bucket}\)"
 
 
 KINDS = ("catalog", "scenario", "prediction map", "trace record")
@@ -209,6 +222,21 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"^entries\[0\]: distance: 0.6 outside \[0, 0.5\]$"),
         ("prediction map", ("arcs", 0, "cost"), 5.0, r"^arcs\[0\]: cost: 5.0 outside \[0, 1\]$"),
         ("prediction map", ("arcs", 0, "cost"), -0.5, r"^arcs\[0\]: cost: -0.5 outside \[0, 1\]$"),
+        # Each node, arc and entry appears once, and arcs and entries name
+        # nodes of the map.
+        ("prediction map", ("nodes", 1), _MAP["nodes"][0],
+         rf"^nodes\[1\]: duplicate node {_key_re(_MAP['nodes'][0])}$"),
+        ("prediction map", ("arcs", 1), _MAP["arcs"][0],
+         rf"^arcs\[1\]: duplicate arc \({_key_re(_MAP['arcs'][0]['from'])}, "
+         rf"{_key_re(_MAP['arcs'][0]['to'])}\)$"),
+        ("prediction map", ("entries", 1), _MAP["entries"][0],
+         rf"^entries\[1\]: duplicate entry {_key_re(_MAP['entries'][0]['node'])}$"),
+        ("prediction map", ("arcs", 0, "from"), ["ghost", 1],
+         r"^arcs\[0\]: unknown node \('ghost', 1\)$"),
+        ("prediction map", ("arcs", 0, "to"), ["ghost", 1],
+         r"^arcs\[0\]: unknown node \('ghost', 1\)$"),
+        ("prediction map", ("entries", 0, "node"), ["ghost", 1],
+         r"^entries\[0\]: unknown node \('ghost', 1\)$"),
         ("trace record", ("frame",), -1, r"trace.ndjson:1: 'frame': -1 must be >= 0$"),
         ("trace record", ("detections", "a", "confidence"), "0.5",
          r"trace.ndjson:1: frame 0: 'detections.a': confidence: must be a number, got '0.5'$"),
@@ -252,3 +280,54 @@ def test_trace_and_map_save_load_save_are_byte_identical(tmp_path_factory, scena
         save_prediction_map, load_prediction_map, build_prediction_map(trace), tmp / "map.json"
     )
     assert first == second
+
+
+def _outcome(call) -> tuple:
+    """What `call()` returns, or the type and message of what it raises."""
+    try:
+        return ("value", repr(call()))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+def _three_box_checks(coords: tuple) -> None:
+    """The checks `BoundingBox` runs when its chained range test fails."""
+    if not all(math.isfinite(c) for c in coords):
+        raise ValueError(f"box coordinates must be finite, got {coords}")
+    if min(coords) < 0:
+        raise ValueError(f"box coordinates must be non-negative, got {coords}")
+    if coords[0] > coords[2] or coords[1] > coords[3]:
+        raise ValueError(f"box corners out of order: {coords}")
+
+
+# NaN, both infinities, -0.0, subnormals, the largest float, ints too large
+# for a float, and booleans.
+NUMBERS = (
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.max, 2**1024 - 2**970 - 1])
+    | st.integers()
+    | st.integers(2**1023, 2**1025)
+    | st.booleans()
+)
+_COORD = st.floats(0.0, 1e6, allow_subnormal=True) | st.integers(0, 10**6)
+# Mostly valid boxes: corners drawn in order.
+ORDERED_BOXES = st.tuples(_COORD, _COORD, _COORD, _COORD).map(
+    lambda c: (min(c[0], c[2]), min(c[1], c[3]), max(c[0], c[2]), max(c[1], c[3]))
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.tuples(NUMBERS, NUMBERS, NUMBERS, NUMBERS) | ORDERED_BOXES)
+def test_box_fast_check_accepts_and_rejects_as_the_full_checks(coords):
+    expected = _outcome(lambda: _three_box_checks(coords))
+    got = _outcome(lambda: BoundingBox(*coords))
+    assert got[0] == expected[0] and (got[0] == "value" or got == expected)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(NUMBERS | st.none() | st.text(max_size=3) | st.lists(st.integers(), max_size=1))
+def test_json_float_fast_path_equals_the_full_check(value):
+    doc = {"v": value}
+    expected = _outcome(lambda: float(_json_number(doc, "v")))
+    got = _outcome(lambda: json_float(doc, "v"))
+    assert got == expected
