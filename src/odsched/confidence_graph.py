@@ -7,7 +7,8 @@ Built offline from a characterization trace in five stages:
 2. Weight the edge between each pair of distinct-model nodes by the number
    of frames on which both were active.  Frames are counted per distinct
    set of active nodes, and each set adds its pairs once, weighted by how
-   many frames had it; a trace repeats few sets.
+   many frames had it, so a trace that repeats its sets pays for each set
+   once and a trace of distinct sets pays what a per-frame count would.
 3. Normalize edge weights per node and invert them, so an arc leaving a node
    along its strongest edge costs 0 and weaker edges cost up to 1.
 4. From each node, collect all nodes within a cumulative arc-cost threshold
@@ -26,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -167,9 +169,9 @@ def build_cograph(trace: CharacterizationTrace, bucket_width: float) -> CoGraph:
     samples: Counter[NodeKey] = Counter()
     edges: Counter[tuple[NodeKey, NodeKey]] = Counter()
     for active, frames in active_sets.items():
-        samples.update(dict.fromkeys(active, frames))
+        _add_count(samples, active, frames)
         # Keys of distinct models in model order: each pair is already sorted.
-        edges.update(dict.fromkeys(itertools.combinations(active, 2), frames))
+        _add_count(edges, itertools.combinations(active, 2), frames)
     nodes = {
         key: GraphNode(
             bucket=_bucket(key[0], key[1], bucket_width),
@@ -179,6 +181,21 @@ def build_cograph(trace: CharacterizationTrace, bucket_width: float) -> CoGraph:
         for key in sorted(samples)
     }
     return CoGraph(bucket_width=bucket_width, nodes=nodes, edges=dict(edges))
+
+
+def _add_count(counts: Counter, keys: Iterable, weight: int) -> None:
+    """Add `weight` to the count of each of `keys`, inserting new keys in order.
+
+    Both branches loop in C: a per-key Python loop (as `Counter.update` runs
+    over a mapping) would make a trace of distinct sets slower than counting
+    its frames one by one.
+    """
+    if weight == 1:
+        counts.update(keys)
+        return
+    keys = list(keys)
+    old = map(counts.get, keys, itertools.repeat(0))
+    dict.update(counts, zip(keys, map(operator.add, old, itertools.repeat(weight))))
 
 
 def prune_sparse_nodes(g: CoGraph, min_samples: int) -> CoGraph:

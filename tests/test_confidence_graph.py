@@ -179,6 +179,8 @@ _HAND_TRACES = {
     "one set, new values": [_AB, {"a": (0.51, 0.9), "b": (0.49, 0.1)}, _AB],
     # A pair first seen in a later set than the set that repeats.
     "late pair": [_AB, _AB, {"b": (0.45, 0.3), "c": (0.95, 0.9)}, _ABC, _AB],
+    # A set seen once, then a repeated set that adds to its pair.
+    "weighted after single": [{"b": (0.45, 0.3), "c": (0.95, 0.9)}, _ABC, _AB, _ABC],
 }
 
 
