@@ -350,15 +350,14 @@ def predict(
     same model's populated bucket with the nearest midpoint (ties toward
     the lower bucket), so any legal confidence yields an answer.
     """
+    width = pm.bucket_width
+    hit = pm.entries.get((model, bucket_index(confidence, width)))
+    if hit is not None:
+        return hit
     populated = pm.populated_buckets(model)
     if not populated:
         raise KeyError(f"model {model!r} not present in prediction map")
-    idx = bucket_index(confidence, pm.bucket_width)
-    if (model, idx) not in pm.entries:
-        idx = min(
-            populated,
-            key=lambda i: (abs(_midpoint(i, pm.bucket_width) - confidence), i),
-        )
+    idx = min(populated, key=lambda i: (abs(_midpoint(i, width) - confidence), i))
     return pm.entries[(model, idx)]
 
 

@@ -34,10 +34,7 @@ class AcceleratorMemory:
         self.capacity_bytes = capacity_bytes
         # model -> memory_bytes; insertion order is recency (oldest first)
         self._resident: OrderedDict[ModelId, int] = OrderedDict()
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(self._resident.values())
+        self.used_bytes = 0  # their sum, kept by every load and eviction
 
     @property
     def resident(self) -> tuple[ModelId, ...]:
@@ -65,9 +62,11 @@ class AcceleratorMemory:
             )
         evicted: list[ModelId] = []
         while self.used_bytes + size > self.capacity_bytes:
-            victim, _ = self._resident.popitem(last=False)
+            victim, victim_size = self._resident.popitem(last=False)
+            self.used_bytes -= victim_size
             evicted.append(victim)
         self._resident[model] = size
+        self.used_bytes += size
         return LoadOutcome(
             kind="evict_load" if evicted else "cold_load",
             evicted=tuple(evicted),
@@ -91,5 +90,6 @@ class AcceleratorMemory:
             size = catalog.profile(model, self.accelerator).memory_bytes
             if self.used_bytes + size <= self.capacity_bytes:
                 self._resident[model] = size
+                self.used_bytes += size
                 loaded.add(model)
         return loaded

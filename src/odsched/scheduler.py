@@ -159,18 +159,15 @@ def score_candidates(
     valid: set[ModelId],
     costs: NormalizedCosts,
     knobs: Knobs,
-    catalog: Catalog,
 ) -> dict[Pair, float]:
+    """Score each valid model's pairs, in the (sorted) pair order of `costs`."""
+    w_a, w_e, w_l = knobs.w_accuracy, knobs.w_energy, knobs.w_latency
+    latency = costs.latency_score
     scores: dict[Pair, float] = {}
-    for pair in catalog.profiled_pairs():
+    for pair, energy in costs.energy_score.items():
         model = pair[0]
-        if model not in valid or model not in averages:
-            continue
-        scores[pair] = (
-            averages[model] * knobs.w_accuracy
-            + costs.energy_score[pair] * knobs.w_energy
-            + costs.latency_score[pair] * knobs.w_latency
-        )
+        if model in valid and model in averages:
+            scores[pair] = averages[model] * w_a + energy * w_e + latency[pair] * w_l
     return scores
 
 
@@ -178,7 +175,8 @@ def best_pair(scores: Mapping[Pair, float]) -> Pair:
     """Argmax with deterministic ties: lexicographic (model, accelerator)."""
     if not scores:
         raise ValueError("no candidate pairs to choose from")
-    return min(scores, key=lambda p: (-scores[p], p))
+    top = max(scores.values())
+    return min(p for p, s in scores.items() if s == top)
 
 
 class SchedulerState:
@@ -259,7 +257,7 @@ class SchedulerState:
         if not profiled:
             raise ValueError("no profiled (model, accelerator) pair among predictions")
         valid = valid_set(profiled, cfg.accuracy_threshold)
-        scores = score_candidates(averages, valid, self.costs, cfg.knobs, self.catalog)
+        scores = score_candidates(averages, valid, self.costs, cfg.knobs)
         return Decision(best_pair(scores), True, similarity, scores, predictions)
 
 

@@ -216,7 +216,7 @@ def oracle_choose(frame: FrameRecord, catalog: Catalog, objective: str) -> Pair:
         raise ValueError(f"unknown oracle objective {objective!r}")
     if not frame.per_model:
         raise ValueError(f"frame {frame.frame_index} has no model outcomes")
-    pairs = [p for p in catalog.profiled_pairs() if p[0] in frame.per_model]
+    pairs = [p for p in catalog.profiles if p[0] in frame.per_model]
     if not pairs:
         raise ValueError(
             f"frame {frame.frame_index}: no profiled pair among observed models"

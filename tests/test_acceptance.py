@@ -176,15 +176,15 @@ def test_criterion_03_scheduling_conformance():
         knobs = Knobs(*(float(rng.uniform(0.01, 2.0)) for _ in range(3)))
         lam = float(rng.uniform(0.1, 10.0))
         scaled = Knobs(knobs.w_accuracy * lam, knobs.w_energy * lam, knobs.w_latency * lam)
-        assert best_pair(score_candidates(averages, valid, costs, knobs, cat)) == best_pair(
-            score_candidates(averages, valid, costs, scaled, cat)
+        assert best_pair(score_candidates(averages, valid, costs, knobs)) == best_pair(
+            score_candidates(averages, valid, costs, scaled)
         )
 
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 1, 0), cat))
+        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 1, 0)))
         assert costs.energy_score[chosen] == max(costs.energy_score.values())
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 0, 1), cat))
+        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 0, 1)))
         assert costs.latency_score[chosen] == max(costs.latency_score.values())
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(1, 0, 0), cat))
+        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(1, 0, 0)))
         assert averages[chosen[0]] == max(averages.values())
     _passed(3, "4 branch fixtures + 1000 randomized states")
 

@@ -526,6 +526,56 @@ def test_predict_unknown_model(demo_trace):
         predict(pm, "nope", 0.5)
 
 
+def _predict_full_scan(pm, model: str, confidence: float):
+    """The lookup written plainly: scan every node for the model's
+    populated buckets first, then take its own bucket or the populated one
+    with the nearest midpoint (ties toward the lower bucket)."""
+    populated = sorted(i for m, i in pm.nodes if m == model)
+    if not populated:
+        raise KeyError(model)
+    idx = bucket_index(confidence, pm.bucket_width)
+    if (model, idx) not in pm.entries:
+
+        def midpoint(i):
+            b = pm.nodes[(model, i)].bucket
+            return round((b.lo + b.hi) / 2.0, 9)
+
+        idx = min(populated, key=lambda i: (abs(midpoint(i) - confidence), i))
+    return pm.entries[(model, idx)]
+
+
+# Two sparse traces leave most buckets empty, so the nearest-bucket
+# fallback runs; the demo trace is the common, populated case.
+_SPARSE_ROWS = [
+    [{"a": (0.25, 0.4)}, {"a": (0.65, 0.8)}],
+    [{"a": (0.05, 0.3), "b": (0.95, 0.9)}, {"a": (0.5, 0.6)}, {"b": (0.31, 0.2)}],
+]
+
+
+@pytest.mark.parametrize("width", [0.1, 0.25, 0.3, 0.5])
+@pytest.mark.parametrize("source", ["demo", "sparse0", "sparse1"])
+def test_predict_matches_full_scan_reference(demo_trace, source, width):
+    trace = demo_trace if source == "demo" else make_trace(_SPARSE_ROWS[int(source[-1])])
+    pm = build_prediction_map(trace, width, 0.5)
+    # A decimal grid, every bucket edge and the floats either side of it.
+    edges = [min(k * width, 1.0) for k in range(int(1 / width) + 2)]
+    grid = sorted(
+        {float(c) for c in np.linspace(0.0, 1.0, 41)}
+        | set(edges)
+        | {float(np.nextafter(e, 0.0)) for e in edges if e > 0.0}
+        | {float(np.nextafter(e, 1.0)) for e in edges if e < 1.0}
+    )
+    fallbacks = 0
+    for model in pm.models():
+        for conf in grid:
+            assert predict(pm, model, conf) == _predict_full_scan(pm, model, conf)
+            fallbacks += (model, bucket_index(conf, width)) not in pm.entries
+    with pytest.raises(KeyError, match="nope"):
+        predict(pm, "nope", 0.5)
+    if source != "demo" and width < 0.5:  # two buckets of 0.5 are both filled
+        assert fallbacks > 0
+
+
 def test_prediction_map_values_in_range(demo_trace):
     pm = build_prediction_map(demo_trace)
     for cost in pm.arcs.values():

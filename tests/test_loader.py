@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog, make_profile
 from odsched.loader import AcceleratorMemory
@@ -179,3 +181,55 @@ def test_randomized_lru_laws_against_reference_model(capacity):
         assert mem.used_bytes <= capacity
         assert mem.resident == tuple(recency)
     assert total_time == pytest.approx(loads * 0.1)
+
+
+@st.composite
+def _request_streams(draw):
+    """Model sizes, a capacity that fits the largest, a prefill priority
+    list and a stream of requests over the same models."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    models = [f"m{i}" for i in range(len(sizes))]
+    capacity = draw(st.integers(max(sizes), 2 * sum(sizes)))
+    priority = draw(st.lists(st.sampled_from(models), max_size=6))
+    stream = draw(st.lists(st.sampled_from(models), max_size=40))
+    return dict(zip(models, sizes)), capacity, priority, stream
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_request_streams())
+def test_memory_matches_plain_list_lru(case):
+    sizes, capacity, priority, stream = case
+    cat = make_catalog(
+        [make_profile(m, "gpu", 0.1, 1.0, memory=size, load_time=0.5, load_energy=size)
+         for m, size in sizes.items()],
+        capacities={"gpu": capacity},
+    )
+    mem = AcceleratorMemory("gpu", capacity)
+    # The reference: a list of residents, least recently requested first,
+    # whose used bytes are always re-summed.
+    recency: list[str] = []
+
+    def used() -> int:
+        return sum(sizes[m] for m in recency)
+
+    for model in priority:
+        if model not in recency and used() + sizes[model] <= capacity:
+            recency.append(model)
+    assert mem.prefill(cat, priority) == set(recency)
+    assert mem.resident == tuple(recency) and mem.used_bytes == used()
+
+    for model in stream:
+        out = mem.request(model, cat)
+        if model in recency:
+            recency.remove(model)
+            expected = ("hit", (), 0.0, 0.0)
+        else:
+            evicted = []
+            while used() + sizes[model] > capacity:
+                evicted.append(recency.pop(0))
+            kind = "evict_load" if evicted else "cold_load"
+            expected = (kind, tuple(evicted), 0.5, float(sizes[model]))
+        recency.append(model)
+        assert (out.kind, out.evicted, out.time_cost_s, out.energy_cost_j) == expected
+        assert mem.resident == tuple(recency)
+        assert mem.used_bytes == used() <= capacity

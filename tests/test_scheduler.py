@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog, make_profile
@@ -452,8 +452,8 @@ def test_argmax_scale_invariance_randomized():
         lam = float(rng.uniform(0.1, 10.0))
         scaled = Knobs(knobs.w_accuracy * lam, knobs.w_energy * lam, knobs.w_latency * lam)
         valid = set(averages)
-        base = best_pair(score_candidates(averages, valid, costs, knobs, cat))
-        assert base == best_pair(score_candidates(averages, valid, costs, scaled, cat))
+        base = best_pair(score_candidates(averages, valid, costs, knobs))
+        assert base == best_pair(score_candidates(averages, valid, costs, scaled))
 
 
 def test_knob_axis_dominance_randomized():
@@ -463,14 +463,54 @@ def test_knob_axis_dominance_randomized():
         costs = normalize_costs(cat)
         valid = set(averages)
 
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 1, 0), cat))
+        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 1, 0)))
         assert costs.energy_score[chosen] == max(costs.energy_score.values())
 
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 0, 1), cat))
+        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 0, 1)))
         assert costs.latency_score[chosen] == max(costs.latency_score.values())
 
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(1, 0, 0), cat))
+        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(1, 0, 0)))
         assert averages[chosen[0]] == max(averages.values())
+
+
+_TIE_PAIRS = st.tuples(st.sampled_from("abc"), st.sampled_from(("dla", "gpu")))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.dictionaries(_TIE_PAIRS, st.sampled_from((0.0, -0.0, 0.5, 1.0, 1.5)), min_size=1))
+@example({("b", "gpu"): 0.0, ("a", "gpu"): -0.0})
+@example({("b", "gpu"): -0.0, ("a", "gpu"): 0.0})
+def test_best_pair_matches_keyed_min(scores):
+    # Few distinct values force exact ties, 0.0 against -0.0 among them.
+    assert best_pair(scores) == min(scores, key=lambda p: (-scores[p], p))
+
+
+def _score_sorted_pairs(averages, valid, costs, knobs, catalog):
+    """Scoring as a loop over the catalog's sorted pairs."""
+    scores = {}
+    for pair in catalog.profiled_pairs():
+        model = pair[0]
+        if model not in valid or model not in averages:
+            continue
+        scores[pair] = (
+            averages[model] * knobs.w_accuracy
+            + costs.energy_score[pair] * knobs.w_energy
+            + costs.latency_score[pair] * knobs.w_latency
+        )
+    return scores
+
+
+def test_score_candidates_matches_sorted_pair_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        cat, averages = _random_problem(rng)
+        costs = normalize_costs(cat)
+        knobs = Knobs(*(float(rng.choice([0.0, 0.3, 1.0, 2.5])) for _ in range(2)), 0.7)
+        # Valid sets may name models with no average, and may be empty.
+        valid = {m for m in [*averages, "zz"] if rng.uniform() < 0.6}
+        got = score_candidates(averages, valid, costs, knobs)
+        want = _score_sorted_pairs(averages, valid, costs, knobs, cat)
+        assert list(got.items()) == list(want.items())
 
 
 class NaiveScheduler:
@@ -675,6 +715,6 @@ def test_valid_set_soundness_randomized():
         threshold = float(rng.uniform(0, 1))
         knobs = Knobs(*(float(rng.uniform(0.01, 2)) for _ in range(3)))
         valid = valid_set(averages, threshold)
-        chosen = best_pair(score_candidates(averages, valid, costs, knobs, cat))
+        chosen = best_pair(score_candidates(averages, valid, costs, knobs))
         if max(averages.values()) >= threshold:
             assert averages[chosen[0]] >= threshold
