@@ -28,33 +28,30 @@ PATCH_SIZE = 64
 
 def ncc(p: GrayscaleImage, c: GrayscaleImage) -> float:
     """Normalized cross-correlation of two same-size images, in [-1, 1]."""
-    return ncc_cached(FrameStats(p), FrameStats(c))
+    return ncc_cached(FrameStats(p.pixels), FrameStats(c.pixels))
 
 
 class FrameStats:
-    """Centered pixels of one image, the input of :func:`ncc_cached`.
+    """Centered values of one 2-D pixel array, the input of :func:`ncc_cached`.
 
     The scheduler correlates every incoming frame against the previous one
     and keeps the previous frame's stats, so each frame is centered once.
     """
 
-    __slots__ = ("image", "centered", "var", "mean")
+    __slots__ = ("shape", "centered", "var", "mean")
 
-    def __init__(self, image: GrayscaleImage) -> None:
-        flat = image.pixels.ravel()
-        self.image = image
+    def __init__(self, pixels: np.ndarray) -> None:
+        flat = pixels.ravel()
+        self.shape = pixels.shape
         self.mean = flat.mean()
         self.centered = flat - self.mean
         self.var = float(self.centered @ self.centered)
 
 
 def ncc_cached(prev: FrameStats, cur: FrameStats) -> float:
-    """NCC of the two stats' images; every NCC in this module is this one."""
-    if prev.image.pixels.shape != cur.image.pixels.shape:
-        raise ValueError(
-            f"image dimensions differ: {prev.image.pixels.shape} "
-            f"vs {cur.image.pixels.shape}"
-        )
+    """NCC of two same-shape arrays' stats; every NCC in this module is this one."""
+    if prev.shape != cur.shape:
+        raise ValueError(f"image dimensions differ: {prev.shape} vs {cur.shape}")
     if prev.var < _VAR_EPS or cur.var < _VAR_EPS:
         both = prev.var < _VAR_EPS and cur.var < _VAR_EPS
         return 1.0 if both and abs(prev.mean - cur.mean) < _VAR_EPS else 0.0
@@ -97,9 +94,9 @@ def bbox_similarity(
     b = _crop(cur_frame, cur_box)
     if a.size == 0 or b.size == 0:
         return 0.0
-    return ncc(
-        GrayscaleImage(_resample_nearest(a, PATCH_SIZE, PATCH_SIZE)),
-        GrayscaleImage(_resample_nearest(b, PATCH_SIZE, PATCH_SIZE)),
+    return ncc_cached(
+        FrameStats(_resample_nearest(a, PATCH_SIZE, PATCH_SIZE)),
+        FrameStats(_resample_nearest(b, PATCH_SIZE, PATCH_SIZE)),
     )
 
 

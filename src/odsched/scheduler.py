@@ -190,7 +190,6 @@ class SchedulerState:
         *,
         memo: dict[tuple, float] | None = None,
     ) -> None:
-        self.catalog = catalog
         self.prediction_map = prediction_map
         self.config = config if config is not None else SchedulerConfig()
         self.costs = normalize_costs(catalog)
@@ -225,28 +224,24 @@ class SchedulerState:
         """min(frame NCC, box NCC) of `frame` against the last frame, then
         make `frame` and `box` the last ones."""
         prev, prev_box, prev_stats = self._last_image, self._last_box, self._last_stats
+        frame_term = box_term = 0.0
         cur_stats = None
-        if prev is None:
-            sim_score = 0.0
-        else:
+        if prev is not None:
             memo = self.memo if self.memo is not None else {}
             key: tuple = (prev, frame)
             frame_term = memo.get(key)
             if frame_term is None:
-                cur_stats = FrameStats(frame)
+                cur_stats = FrameStats(frame.pixels)
                 if prev_stats is None:
-                    prev_stats = FrameStats(prev)
+                    prev_stats = FrameStats(prev.pixels)
                 frame_term = memo[key] = ncc_cached(prev_stats, cur_stats)
-            if box is None or prev_box is None:
-                box_term = 0.0
-            else:
+            if box is not None and prev_box is not None:
                 key = (prev, frame, prev_box, box)
                 box_term = memo.get(key)
                 if box_term is None:
                     box_term = memo[key] = bbox_similarity(prev, prev_box, frame, box)
-            sim_score = min(frame_term, box_term)
         self._last_image, self._last_box, self._last_stats = frame, box, cur_stats
-        return sim_score
+        return min(frame_term, box_term)
 
     def _select(self, predictions: tuple[Prediction, ...], similarity: float) -> Decision:
         """The full scheduling pass: momentum, then the valid set among the

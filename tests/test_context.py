@@ -84,7 +84,7 @@ def test_cached_path_matches_plain():
     rng = np.random.default_rng(7)
     for _ in range(10):
         a, b = _random_image(rng, 33, 21), _random_image(rng, 33, 21)
-        assert ncc_cached(FrameStats(a), FrameStats(b)) == ncc(a, b)
+        assert ncc_cached(FrameStats(a.pixels), FrameStats(b.pixels)) == ncc(a, b)
 
 
 def test_uint8_frames_match_float64_copies(demo_trace):
@@ -100,7 +100,7 @@ def test_uint8_frames_match_float64_copies(demo_trace):
     for i in range(1, len(frames)):
         p, c, pw, cw = frames[i - 1], frames[i], wide[i - 1], wide[i]
         assert ncc(p, c) == ncc(pw, cw)
-        assert ncc_cached(FrameStats(p), FrameStats(c)) == ncc(pw, cw)
+        assert ncc_cached(FrameStats(p.pixels), FrameStats(c.pixels)) == ncc(pw, cw)
         for a in boxes:
             for b in boxes:
                 assert bbox_similarity(p, a, c, b) == bbox_similarity(pw, a, cw, b)
