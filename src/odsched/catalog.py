@@ -235,6 +235,13 @@ def _validate_catalog(cat: Catalog) -> None:
                 f"{prof.avg_energy_j} inconsistent with latency x power "
                 f"= {expected:.6g} J (tolerance {cat.energy_tolerance:.0%})"
             )
+        capacity = cat.accelerators[prof.accelerator].memory_bytes
+        if prof.memory_bytes > capacity:
+            raise CatalogError(
+                f"profile ({prof.model}, {prof.accelerator}): memory_bytes "
+                f"{prof.memory_bytes} exceeds {prof.accelerator!r} capacity "
+                f"({capacity} B)"
+            )
 
 
 def catalog_from_dict(doc: dict) -> Catalog:

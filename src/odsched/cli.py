@@ -75,6 +75,10 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     trace = _resolve_trace(args.trace, catalog)
     pm = build_prediction_map(trace, config.bucket_width, config.distance_threshold,
                               min_samples=args.min_samples)
+    if not pm.nodes:
+        raise ValidationError(
+            f"min_samples {args.min_samples} prunes every node; {args.out} not written"
+        )
     save_prediction_map(pm, args.out)
     print(
         f"wrote {args.out}: {len(pm.nodes)} nodes, "
@@ -161,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--overhead", type=float, default=sim.DEFAULT_OVERHEAD_S,
                    help="scheduler overhead charged per frame, seconds (default 0.002)")
     p.add_argument("--prefill", action="store_true",
-                   help="prefill accelerator memory before the run")
+                   help="prefill accelerator memory before the run (shift and single)")
     _add_scheduler_flags(p)
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--frames-csv", help="optional per-frame CSV path")
@@ -174,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="JSON mapping parameter -> list of values")
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--summary", help="correlation summary JSON (default <out>.summary.json)")
-    p.add_argument("--overhead", type=float, default=sim.DEFAULT_OVERHEAD_S)
+    p.add_argument("--overhead", type=float, default=sim.DEFAULT_OVERHEAD_S,
+                   help="scheduler overhead charged per frame, seconds (default 0.002)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic trace from a scenario")

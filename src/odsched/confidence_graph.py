@@ -465,6 +465,8 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
             )
     except DECODE_ERRORS as exc:
         raise decode_error(ValidationError, where, exc) from None
+    if not nodes:
+        raise ValidationError("prediction map has no nodes")
     missing = sorted(set(nodes) - set(entries))
     if missing:
         raise ValidationError(f"prediction map node {missing[0]} has no entry")

@@ -10,7 +10,8 @@ Policies:
 * ``shift`` -- the adaptive scheduler (confidence graph + context NCC +
   knob scoring), with LRU model loading per accelerator.
 * ``single`` -- one fixed (model, accelerator) pair; pays one cold load on
-  the first frame, nothing after.
+  the first frame, nothing after, and none at all when a prefill left the
+  pair's model resident.
 * ``oracle_energy`` / ``oracle_accuracy`` / ``oracle_latency`` --
   clairvoyant per-frame baselines choosing among the profiled pairs of
   models whose recorded IoU clears 0.5 (of all observed models when none
@@ -265,6 +266,9 @@ def _run(
         name: AcceleratorMemory(name, acc.memory_bytes)
         for name, acc in catalog.accelerators.items()
     }
+    if prefill:
+        for mem in memories.values():
+            mem.prefill(catalog, catalog.models)
     if policy.kind == "shift":
         config = policy.config if policy.config is not None else SchedulerConfig()
         charged_overhead_s = overhead_s
@@ -280,9 +284,6 @@ def _run(
                 distance_threshold=pm.distance_threshold,
             )
         state = SchedulerState(catalog, pm, config, memo=memo)
-        if prefill:
-            for mem in memories.values():
-                mem.prefill(catalog, catalog.models)
         pair = state.bootstrap().pair
 
         def choose(fr: FrameRecord) -> Pair:

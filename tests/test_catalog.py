@@ -223,6 +223,8 @@ def test_non_finite_catalog_number_rejected(tmp_path, path, message, value):
          r"^profiles\[0\]: memory_bytes: must be an integer, got 1.9$"),
         ("profiles", [{**_minimal_doc()["profiles"][0], "memory_bytes": True}],
          r"^profiles\[0\]: memory_bytes: must be a number, got True$"),
+        ("accelerators", [{"name": "gpu", "memory_bytes": 9}],
+         r"^profile \(m1, gpu\): memory_bytes 10 exceeds 'gpu' capacity \(9 B\)$"),
     ],
 )
 def test_catalog_wrong_json_type_names_field(key, value, message):

@@ -96,6 +96,14 @@ def test_build_graph_min_samples_prunes(tmp_path, trace_file):
     assert n_sparse < n_dense
 
 
+@pytest.mark.parametrize("command", ["build-graph", "simulate"])
+def test_default_trace_is_the_demo_trace(tmp_path, trace_file, command):
+    default, given = tmp_path / "default.json", tmp_path / "given.json"
+    assert main([command, "--out", str(default)]) == 0
+    assert main([command, "--trace", trace_file, "--out", str(given)]) == 0
+    assert default.read_bytes() == given.read_bytes()
+
+
 def test_simulate_single_has_zero_swaps(tmp_path, trace_file):
     out = tmp_path / "single.json"
     code = main(
@@ -243,6 +251,8 @@ def test_sweep_scalar_grid_value_fails_cleanly(tmp_path, trace_file, capsys):
         (["sweep"], '{"w_energy": [0.5, NaN]}', "w_energy must be finite"),
         (["sweep"], '{"momentum": [Infinity]}', "momentum: cannot convert"),
         (["sweep"], '{"momentum": [30, 1.5]}', "momentum: must be an integer, got 1.5"),
+        (["build-graph", "--min-samples", "100000"], None,
+         "min_samples 100000 prunes every node"),
     ],
 )
 def test_non_finite_parameter_fails_naming_it(tmp_path, trace_file, capsys,

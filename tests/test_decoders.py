@@ -244,6 +244,20 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"trace.ndjson:1: 'ground_truth': x_max: must be a number, got '5'$"),
         ("trace record", ("frame_image", "height"), 7.5,
          r"trace.ndjson:1: bad frame image: height: must be an integer, got 7.5$"),
+        # Names are unique and non-empty, capacities positive, and a map has
+        # at least one node.
+        ("catalog", ("accelerators",), catalog_to_dict(CATALOG)["accelerators"] * 2,
+         r"^accelerators\[1\]: duplicate accelerator 'gpu'$"),
+        ("catalog", ("accelerators", 0, "name"), "",
+         r"^accelerators\[0\]: accelerator name must be non-empty$"),
+        ("catalog", ("accelerators", 0, "memory_bytes"), 0,
+         r"^accelerators\[0\]: accelerator 'gpu': memory_bytes must be > 0$"),
+        ("catalog", ("models", 1), "a", r"^duplicate model id in catalog$"),
+        ("catalog", ("models", 0), "", r"^model names must be non-empty$"),
+        ("scenario", ("segments", 0, "models"), {"": SCENARIO["segments"][0]["models"]["a"]},
+         r"^segments\[0\]: models has an empty model name$"),
+        ("prediction map", (), {**_MAP, "nodes": [], "arcs": [], "entries": []},
+         r"^prediction map has no nodes$"),
     ],
 )
 def test_decode_error_names_the_entry(kind, path, value, message, tmp_path):

@@ -120,6 +120,14 @@ def test_shift_prefill_removes_load_stalls(builtin, demo_trace):
     assert rep.total_load_energy_j == 0.0
 
 
+def test_single_prefill_pays_no_load(builtin, demo_trace):
+    # A greedy prefill of the builtin catalog leaves yolov7 resident on gpu.
+    rep = run(demo_trace, builtin, Policy.single("yolov7", "gpu"), prefill=True)
+    assert rep.total_load_time_s == 0.0
+    assert rep.total_load_energy_j == 0.0
+    assert rep.avg_time_s == 0.130
+
+
 def test_shift_charges_overhead_as_time_only(builtin, demo_trace):
     base = run(demo_trace, builtin, Policy.shift(), scheduler_overhead_s=0.0)
     loaded = run(demo_trace, builtin, Policy.shift(), scheduler_overhead_s=0.002)
@@ -198,6 +206,20 @@ def test_oracle_latency(builtin):
 def test_oracle_empty_frame_rejected(builtin):
     with pytest.raises(ValueError, match="no model outcomes"):
         oracle_choose(FrameRecord(frame_index=3, per_model={}), builtin, "energy")
+
+
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        (Policy.shift(), r"^no profiled \(model, accelerator\) pair among predictions$"),
+        (Policy.oracle("energy"), r"^frame 0: no profiled pair among observed models$"),
+    ],
+    ids=["shift", "oracle"],
+)
+def test_trace_without_profiled_model_fails(builtin, policy, message):
+    trace = make_trace([{"ghost": (0.9, 0.6)}] * 3)
+    with pytest.raises(ValueError, match=message):
+        run(trace, builtin, policy)
 
 
 def test_oracle_charges_no_loads(builtin, demo_trace):
