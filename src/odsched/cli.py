@@ -68,9 +68,11 @@ def _add_scheduler_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
-    # Checks both values before any I/O.
+    # Checks all three values before any I/O.
     config = SchedulerConfig(bucket_width=args.bucket_width,
                              distance_threshold=args.distance)
+    if args.min_samples < 1:
+        raise ValidationError(f"min_samples {args.min_samples} must be >= 1")
     catalog = _resolve_catalog(args.catalog)
     trace = _resolve_trace(args.trace, catalog)
     pm = build_prediction_map(trace, config.bucket_width, config.distance_threshold,
@@ -152,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bucket-width", type=float, default=defaults.bucket_width)
     p.add_argument("--distance", type=float, default=defaults.distance_threshold)
     p.add_argument("--min-samples", type=int, default=1,
-                   help="prune buckets with fewer samples (default 1 = keep all)")
+                   help="prune buckets with fewer samples, >= 1 (default 1 = keep all)")
     p.add_argument("--out", required=True, help="output map JSON path")
     p.set_defaults(func=_cmd_build_graph)
 

@@ -326,6 +326,8 @@ def build_prediction_map(
     min_samples: int = 1,
 ) -> PredictionMap:
     """Run all stages over a trace and compile the runtime lookup map."""
+    if min_samples < 1:
+        raise ValueError(f"min_samples {min_samples} must be >= 1")
     cograph = prune_sparse_nodes(build_cograph(trace, bucket_width), min_samples)
     cost = normalize_invert(cograph)
     entries = {

@@ -253,6 +253,8 @@ def test_sweep_scalar_grid_value_fails_cleanly(tmp_path, trace_file, capsys):
         (["sweep"], '{"momentum": [30, 1.5]}', "momentum: must be an integer, got 1.5"),
         (["build-graph", "--min-samples", "100000"], None,
          "min_samples 100000 prunes every node"),
+        (["build-graph", "--min-samples", "0"], None, "min_samples 0 must be >= 1"),
+        (["build-graph", "--min-samples", "-3"], None, "min_samples -3 must be >= 1"),
     ],
 )
 def test_non_finite_parameter_fails_naming_it(tmp_path, trace_file, capsys,

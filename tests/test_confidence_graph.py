@@ -493,6 +493,13 @@ def test_prediction_map_empty_trace():
         build_prediction_map(make_trace([]), 0.1, 0.5)
 
 
+@pytest.mark.parametrize("min_samples", [0, -3])
+def test_prediction_map_rejects_min_samples_below_one(min_samples):
+    rows = [{"a": (0.55, 0.7)}]
+    with pytest.raises(ValueError, match=f"^min_samples {min_samples} must be >= 1$"):
+        build_prediction_map(make_trace(rows), 0.1, 0.5, min_samples)
+
+
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_prediction_map_rejects_non_finite_threshold(demo_trace, threshold):
     with pytest.raises(ValueError, match="^distance threshold must be finite and >= 0$"):

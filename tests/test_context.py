@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odsched.catalog import BoundingBox
 from odsched.context import (
     FrameStats,
+    _resample_nearest,
     bbox_similarity,
     ncc,
     ncc_cached,
@@ -104,6 +107,54 @@ def test_uint8_frames_match_float64_copies(demo_trace):
         for a in boxes:
             for b in boxes:
                 assert bbox_similarity(p, a, c, b) == bbox_similarity(pw, a, cw, b)
+
+
+@st.composite
+def _pixel_arrays(draw) -> np.ndarray:
+    """uint8 or float64 pixels in [0, 255], 1x1 to 300x300, constant or not,
+    as a C-order, Fortran-order or strided array."""
+    h, w = draw(st.integers(1, 300)), draw(st.integers(1, 300))
+    dtype = draw(st.sampled_from([np.uint8, np.float64]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base_shape = (2 * h + 1, 3 * w) if layout == "strided" else (h, w)
+    if draw(st.booleans()):
+        value = draw(st.integers(0, 255) if dtype == np.uint8 else st.floats(0, 255))
+        base = np.full(base_shape, value, dtype=dtype)
+    elif dtype == np.uint8:
+        base = rng.integers(0, 256, size=base_shape, dtype=np.uint8)
+    else:
+        base = rng.uniform(0, 255, size=base_shape)
+    if layout == "F":
+        return np.asfortranarray(base)
+    return base[1::2, ::3] if layout == "strided" else base
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_pixel_arrays())
+def test_frame_stats_match_mean_then_subtract(pixels):
+    # The plain formula FrameStats replaces; every field must agree bit for bit.
+    before = pixels.copy()
+    flat = pixels.ravel()
+    mean = flat.mean()
+    centered = flat - mean
+    stats = FrameStats(pixels)
+    assert stats.mean == mean
+    assert stats.centered.dtype == np.float64
+    assert np.array_equal(stats.centered, centered)
+    assert stats.var == float(centered @ centered)
+    assert stats.shape == pixels.shape
+    assert np.array_equal(pixels, before)
+
+
+def test_resample_indices_match_clamped_formula():
+    # Rows depend on the height only and columns on the width only, so one
+    # ramp per size covers every height and every width from 1 to 700.
+    for n in range(1, 701):
+        clamped = np.minimum(((np.arange(64) + 0.5) * n / 64).astype(int), n - 1)
+        ramp = np.arange(n)
+        assert np.array_equal(_resample_nearest(ramp[:, None])[:, 0], clamped)
+        assert np.array_equal(_resample_nearest(ramp[None, :])[0], clamped)
 
 
 # ---------------------------------------------------------------------------
