@@ -457,14 +457,20 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
             where = f"entries[{i}]"
             key = _known_node(e["node"], nodes)
             _check_new(key, entries, "entry")
-            entries[key] = tuple(
-                Prediction(
-                    model=str(p["model"]),
+            # Each model once, the node's own among them: the scheduler's
+            # bootstrap seeds a model from its own prediction.
+            predictions: dict[ModelId, Prediction] = {}
+            for p in e["predictions"]:
+                model = str(p["model"])
+                _check_new(model, predictions, "prediction for model")
+                predictions[model] = Prediction(
+                    model=model,
                     accuracy=_json_range(p, "accuracy", 1.0),
                     distance=_json_range(p, "distance", threshold),
                 )
-                for p in e["predictions"]
-            )
+            if key[0] not in predictions:
+                raise ValueError(f"no prediction for the node's own model {key[0]}")
+            entries[key] = tuple(predictions.values())
     except DECODE_ERRORS as exc:
         raise decode_error(ValidationError, where, exc) from None
     if not nodes:

@@ -16,6 +16,12 @@ profiled (model, accelerator) pair from the valid set is scored:
 Energy and latency scores are min-max normalized over the catalog's profiled
 pairs and inverted, so bigger is better on every axis and a plain argmax
 selects the winner.
+
+Each state computes the weighted energy and latency terms of every profiled
+pair once, so the full pass filters the valid models, scores their pairs and
+takes the argmax in one loop.  `valid_set`, `score_candidates` and
+`best_pair` spell out the same steps one at a time; they are the reference
+that pass is tested against.
 """
 
 from __future__ import annotations
@@ -106,6 +112,9 @@ class Decision:
     similarity: float
     scores: Mapping[Pair, float] = field(default_factory=dict)
     predictions: tuple[Prediction, ...] = ()
+    # True when no predicted model with a profiled pair met the accuracy
+    # threshold, so every one of them was a candidate.
+    valid_fallback: bool = False
 
 
 def normalize_costs(catalog: Catalog) -> NormalizedCosts:
@@ -193,7 +202,17 @@ class SchedulerState:
         self.prediction_map = prediction_map
         self.config = config if config is not None else SchedulerConfig()
         self.costs = normalize_costs(catalog)
-        self.profiled_models = frozenset(model for model, _ in catalog.profiles)
+        # Each profiled model's (pair, weighted energy, weighted latency), in
+        # sorted pair order.  The two products stay apart: a score adds them
+        # in `score_candidates`' order, so it rounds the same.
+        knobs = self.config.knobs
+        latency = self.costs.latency_score
+        terms: dict[ModelId, list[tuple[Pair, float, float]]] = {}
+        for pair, energy in self.costs.energy_score.items():
+            terms.setdefault(pair[0], []).append(
+                (pair, energy * knobs.w_energy, latency[pair] * knobs.w_latency)
+            )
+        self.terms = {model: tuple(pairs) for model, pairs in terms.items()}
         self.buffers: dict[ModelId, deque[float]] = {}
         # Frame and box NCC terms keyed by what they compare, shared by every
         # state replaying the same trace.  Without one, each call gets a
@@ -245,15 +264,27 @@ class SchedulerState:
 
     def _select(self, predictions: tuple[Prediction, ...], similarity: float) -> Decision:
         """The full scheduling pass: momentum, then the valid set among the
-        predicted models that have a profiled pair, then the argmax."""
+        predicted models that have a profiled pair, then the argmax.  Models
+        and their pairs are visited in sorted order and only a strictly
+        higher score replaces the best, so the smallest of tied pairs wins."""
         cfg = self.config
+        terms = self.terms
         averages = update_momentum(self.buffers, predictions, cfg.momentum)
-        profiled = {m: r for m, r in averages.items() if m in self.profiled_models}
+        profiled = [m for m in averages if m in terms]
         if not profiled:
             raise ValueError("no profiled (model, accelerator) pair among predictions")
-        valid = valid_set(profiled, cfg.accuracy_threshold)
-        scores = score_candidates(averages, valid, self.costs, cfg.knobs)
-        return Decision(best_pair(scores), True, similarity, scores, predictions)
+        threshold = cfg.accuracy_threshold
+        valid = [m for m in profiled if averages[m] >= threshold]
+        w_accuracy = cfg.knobs.w_accuracy
+        scores: dict[Pair, float] = {}
+        top, best = -math.inf, None
+        for model in sorted(valid or profiled):
+            accuracy = averages[model] * w_accuracy
+            for pair, energy, latency in terms[model]:
+                score = scores[pair] = accuracy + energy + latency
+                if score > top:
+                    top, best = score, pair
+        return Decision(best, True, similarity, scores, predictions, not valid)
 
 
 def schedule(

@@ -183,6 +183,27 @@ def test_simulate_graph_with_bad_bucket_width_fails_before_writing(
     assert not out.exists()
 
 
+def test_simulate_graph_entry_without_its_own_model_fails_before_writing(
+    tmp_path, trace_file, capsys
+):
+    pm_path = tmp_path / "pm.json"
+    assert main(["build-graph", "--trace", trace_file, "--out", str(pm_path)]) == 0
+    doc = json.loads(pm_path.read_text())
+    # The last entry is the last model's top bucket, which bootstrap reads.
+    i = len(doc["entries"]) - 1
+    entry = doc["entries"][i]
+    own = entry["node"][0]
+    entry["predictions"] = [p for p in entry["predictions"] if p["model"] != own]
+    pm_path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code = main(
+        ["simulate", "--trace", trace_file, "--graph", str(pm_path), "--out", str(out)]
+    )
+    assert code == 1
+    assert f"entries[{i}]: no prediction for the node's own model {own}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_two_by_two(tmp_path, trace_file, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"w_accuracy": [0.5, 1.0], "w_energy": [0.0, 1.0]}))

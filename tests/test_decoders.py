@@ -237,6 +237,15 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"^arcs\[0\]: unknown node \('ghost', 1\)$"),
         ("prediction map", ("entries", 0, "node"), ["ghost", 1],
          r"^entries\[0\]: unknown node \('ghost', 1\)$"),
+        # An entry predicts its own node's model, and each model once.
+        ("prediction map", ("entries", 0, "predictions"),
+         [p for p in _MAP["entries"][0]["predictions"] if p["model"] != "a"],
+         r"^entries\[0\]: no prediction for the node's own model a$"),
+        ("prediction map", ("entries", 0, "predictions"), [],
+         r"^entries\[0\]: no prediction for the node's own model a$"),
+        ("prediction map", ("entries", 0, "predictions"),
+         _MAP["entries"][0]["predictions"] * 2,
+         r"^entries\[0\]: duplicate prediction for model a$"),
         ("trace record", ("frame",), -1, r"trace.ndjson:1: 'frame': -1 must be >= 0$"),
         ("trace record", ("detections", "a", "confidence"), "0.5",
          r"trace.ndjson:1: frame 0: 'detections.a': confidence: must be a number, got '0.5'$"),

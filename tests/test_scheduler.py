@@ -16,7 +16,7 @@ from odsched.catalog import (
     DetectionOutcome,
     FrameRecord,
 )
-from odsched.confidence_graph import Bucket, GraphNode, Prediction, PredictionMap
+from odsched.confidence_graph import Bucket, GraphNode, Prediction, PredictionMap, predict
 from odsched.images import GrayscaleImage
 from odsched.scheduler import (
     Decision,
@@ -303,6 +303,35 @@ def test_qualifier_without_profiled_pair_falls_back_to_every_profiled_model():
     assert d.pair == ("a", "gpu")
 
 
+@pytest.mark.parametrize(
+    ("threshold", "fallback"), [(0.6, False), (0.7, False), (0.71, True), (0.9, True)]
+)
+def test_decision_records_valid_set_fallback(threshold, fallback):
+    # Momentum averages are a 0.7 and b 0.5: a meets any threshold up to 0.7.
+    _, _, state = _two_model_setup(threshold=threshold)
+    d = schedule(state, ("a", "gpu"), 0.1)
+    assert d.rescheduled
+    assert d.valid_fallback is fallback
+    assert set(d.scores) == (
+        {("a", "cpu"), ("a", "gpu"), ("b", "gpu")} if fallback else {("a", "cpu"), ("a", "gpu")}
+    )
+
+
+def test_early_exit_records_no_valid_set_fallback():
+    _, _, state = _two_model_setup(threshold=0.9)
+    img, box = _image(0), BoundingBox(4, 4, 20, 20)
+    assert schedule(state, ("a", "gpu"), 1.0, img, box).valid_fallback
+    d = schedule(state, ("a", "gpu"), 1.0, img, box)
+    assert not d.rescheduled and not d.valid_fallback
+
+
+def test_qualifier_without_profiled_pair_records_valid_set_fallback():
+    cat = make_catalog([make_profile("a", "gpu", 0.10, 10.0)])
+    pm = make_pm({"a": 0.3, "c": 0.9})
+    cfg = SchedulerConfig(accuracy_threshold=0.5)
+    assert schedule(SchedulerState(cat, pm, cfg), ("a", "gpu"), 0.1).valid_fallback
+
+
 def test_schedule_unknown_model_errors():
     _, _, state = _two_model_setup()
     with pytest.raises(KeyError):
@@ -423,6 +452,16 @@ def test_bootstrap_seeds_from_top_bucket_and_scores():
     assert list(state.buffers["b"]) == [0.5]
     assert d.pair == ("a", "gpu")
     assert d.scores == {("a", "gpu"): 0.75, ("b", "gpu"): 0.5}
+
+
+@pytest.mark.parametrize(("threshold", "fallback"), [(0.75, False), (0.76, True)])
+def test_bootstrap_records_valid_set_fallback(threshold, fallback):
+    _, pm, _ = _two_model_setup(accs={"a": 0.75, "b": 0.5})
+    cat = make_catalog(
+        [make_profile("a", "gpu", 0.10, 10.0), make_profile("b", "gpu", 0.01, 10.0)]
+    )
+    d = SchedulerState(cat, pm, SchedulerConfig(accuracy_threshold=threshold)).bootstrap()
+    assert d.rescheduled and d.valid_fallback is fallback
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +743,84 @@ def test_schedule_matches_naive_on_random_streams(stream):
         decision = schedule(state, pair, conf, fr.frame, box)
         assert (decision.pair, decision.rescheduled) == naive.step(pair, conf, fr.frame, box)
         pair = decision.pair
+
+
+# Few distinct values make costs, averages and scores tie; free floats make
+# sums whose rounding depends on the order of their terms.
+_TIE_OR_FREE = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), _UNIT)
+
+
+@st.composite
+def _frameless_streams(draw):
+    """A catalog with tied costs, a prediction map whose entries list models
+    out of order and include models with no profiled pair, a configuration,
+    and the confidences of a run of frameless schedule() calls."""
+    models = [f"m{i}" for i in range(draw(st.integers(2, 5)))]
+    profiled = sorted(draw(st.sets(st.sampled_from(models), min_size=1)))
+    profiles = [
+        make_profile(
+            m,
+            a,
+            draw(st.one_of(st.sampled_from((0.1, 0.2)), st.floats(0.01, 1.0))),
+            draw(st.one_of(st.just(10.0), st.floats(1.0, 20.0))),
+        )
+        for m in profiled
+        for a in sorted(draw(st.sets(st.sampled_from(("cpu", *_ACCELERATORS)), min_size=1)))
+    ]
+    width = 0.25
+    nodes, entries = {}, {}
+    for m in models:
+        for i in draw(st.sets(st.integers(0, 3), min_size=1)):
+            nodes[(m, i)] = GraphNode(Bucket(m, i, i * width, (i + 1) * width), 0.5, 1)
+            # The node's own model, others, and at least one profiled model.
+            named = {m, draw(st.sampled_from(profiled)), *draw(st.sets(st.sampled_from(models)))}
+            entries[(m, i)] = tuple(
+                Prediction(o, draw(_TIE_OR_FREE), 0.0)
+                for o in draw(st.permutations(sorted(named)))
+            )
+    pm = PredictionMap(width, 0.5, nodes, {}, entries)
+    weight = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.01, 2.0))
+    knobs = draw(st.tuples(weight, weight, weight))
+    config = SchedulerConfig(
+        knobs=Knobs(*knobs) if any(knobs) else Knobs(),
+        # 1.0 forces the fallback unless an average is exactly 1.  A positive
+        # threshold makes every frameless call a full pass.
+        accuracy_threshold=draw(st.one_of(st.sampled_from((0.5, 1.0)), st.floats(0.01, 1.0))),
+        momentum=draw(st.integers(1, 5)),
+    )
+    confidences = draw(st.lists(_UNIT, min_size=1, max_size=12))
+    return make_catalog(profiles), pm, config, confidences
+
+
+def _helper_pass(buffers, predictions, catalog, config):
+    """The full pass composed from the public helpers, one step at a time."""
+    averages = update_momentum(buffers, predictions, config.momentum)
+    profiled = {m: r for m, r in averages.items() if any(p[0] == m for p in catalog.profiles)}
+    valid = valid_set(profiled, config.accuracy_threshold)
+    scores = score_candidates(averages, valid, normalize_costs(catalog), config.knobs)
+    fallback = not any(r >= config.accuracy_threshold for r in profiled.values())
+    return best_pair(scores), scores, fallback
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_frameless_streams())
+def test_full_pass_matches_helper_composition(stream):
+    catalog, pm, config, confidences = stream
+    state = SchedulerState(catalog, pm, config)
+    buffers: dict[str, deque] = {}
+    decision = state.bootstrap()
+    for confidence in [None, *confidences]:
+        if confidence is not None:
+            # Frameless calls score similarity 0, so each one is a full pass.
+            buffers = {m: deque(b, maxlen=b.maxlen) for m, b in state.buffers.items()}
+            predictions = predict(pm, decision.pair[0], confidence)
+            decision = schedule(state, decision.pair, confidence)
+            assert decision.rescheduled and decision.predictions == predictions
+        pair, scores, fallback = _helper_pass(buffers, decision.predictions, catalog, config)
+        assert decision.pair == pair
+        assert list(decision.scores.items()) == list(scores.items())
+        assert decision.valid_fallback is fallback
+        assert state.buffers == buffers
 
 
 def test_valid_set_soundness_randomized():
