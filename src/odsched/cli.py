@@ -30,11 +30,7 @@ _DEMO_TRACE_SEED = 0
 
 
 def _resolve_catalog(path: str | None) -> Catalog:
-    if path is None:
-        path = os.environ.get(CATALOG_ENV)
-    if path is None:
-        return builtin_catalog()
-    return load_catalog(path)
+    return builtin_catalog() if path is None else load_catalog(path)
 
 
 def _resolve_trace(path: str | None, catalog: Catalog):
@@ -43,34 +39,34 @@ def _resolve_trace(path: str | None, catalog: Catalog):
     return sim.gen_trace(sim.demo_scenario(), _DEMO_TRACE_SEED)
 
 
-# (flag, SchedulerConfig parameter, help); type and default come from the
+# SchedulerConfig parameter -> (flag, help); type and default come from the
 # library's defaults.
-_SCHEDULER_FLAGS = (
-    ("--accuracy-threshold", "accuracy_threshold",
-     "goal accuracy for the valid-model filter"),
-    ("--momentum", "momentum", "frames to average predicted accuracy over"),
-    ("--distance", "distance_threshold", "confidence-graph neighborhood threshold"),
-    ("--bucket-width", "bucket_width", "confidence bucket width"),
-    ("--w-acc", "w_accuracy", "accuracy knob weight"),
-    ("--w-energy", "w_energy", "energy knob weight"),
-    ("--w-latency", "w_latency", "latency knob weight"),
-)
+_SCHEDULER_FLAGS = {
+    "accuracy_threshold": ("--accuracy-threshold", "goal accuracy for the valid-model filter"),
+    "momentum": ("--momentum", "frames to average predicted accuracy over"),
+    "distance_threshold": ("--distance", "confidence-graph neighborhood threshold"),
+    "bucket_width": ("--bucket-width", "confidence bucket width"),
+    "w_accuracy": ("--w-acc", "accuracy knob weight"),
+    "w_energy": ("--w-energy", "energy knob weight"),
+    "w_latency": ("--w-latency", "latency knob weight"),
+}
 
 
-def _add_scheduler_flags(p: argparse.ArgumentParser) -> None:
+def _add_scheduler_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the flags of `names`, or of every parameter, in that order."""
     defaults = SchedulerConfig().params()
-    for flag, name, text in _SCHEDULER_FLAGS:
-        default = defaults[name]
+    for name in names or _SCHEDULER_FLAGS:
+        flag, text = _SCHEDULER_FLAGS[name]
         # The metavar argparse would derive from the flag, not from `dest`.
         p.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(),
-                       type=type(default), default=default,
-                       help=f"{text} (default {default})")
+                       type=type(defaults[name]), default=defaults[name],
+                       help=f"{text} (default %(default)s)")
 
 
 def _cmd_build_graph(args: argparse.Namespace) -> int:
     # Checks all three values before any I/O.
     config = SchedulerConfig(bucket_width=args.bucket_width,
-                             distance_threshold=args.distance)
+                             distance_threshold=args.distance_threshold)
     if args.min_samples < 1:
         raise ValidationError(f"min_samples {args.min_samples} must be >= 1")
     catalog = _resolve_catalog(args.catalog)
@@ -146,26 +142,30 @@ def build_parser() -> argparse.ArgumentParser:
         "sweeps, and synthetic trace generation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = SchedulerConfig()
+    # Flags shared by several commands, declared once.
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--catalog", default=os.environ.get(CATALOG_ENV),
+                        help=f"catalog JSON (default ${CATALOG_ENV} or bundled)")
+    inputs.add_argument("--trace", help="trace file (default: bundled demo)")
+    overhead = argparse.ArgumentParser(add_help=False)
+    overhead.add_argument("--overhead", type=float, default=sim.DEFAULT_OVERHEAD_S,
+                          help="scheduler overhead charged per frame, seconds "
+                          "(default %(default)s)")
 
-    p = sub.add_parser("build-graph", help="build and serialize a prediction map")
-    p.add_argument("--catalog", help=f"catalog JSON (default ${CATALOG_ENV} or bundled)")
-    p.add_argument("--trace", help="characterization trace (default: bundled demo)")
-    p.add_argument("--bucket-width", type=float, default=defaults.bucket_width)
-    p.add_argument("--distance", type=float, default=defaults.distance_threshold)
+    p = sub.add_parser("build-graph", parents=[inputs],
+                       help="build and serialize a prediction map")
+    _add_scheduler_flags(p, "bucket_width", "distance_threshold")
     p.add_argument("--min-samples", type=int, default=1,
-                   help="prune buckets with fewer samples, >= 1 (default 1 = keep all)")
+                   help="prune buckets with fewer samples, >= 1 "
+                   "(default %(default)s = keep all)")
     p.add_argument("--out", required=True, help="output map JSON path")
     p.set_defaults(func=_cmd_build_graph)
 
-    p = sub.add_parser("simulate", help="replay a trace under a policy")
-    p.add_argument("--catalog", help=f"catalog JSON (default ${CATALOG_ENV} or bundled)")
-    p.add_argument("--trace", help="trace file (default: bundled demo)")
+    p = sub.add_parser("simulate", parents=[inputs, overhead],
+                       help="replay a trace under a policy")
     p.add_argument("--policy", default="shift",
                    help="shift | single:<model>:<accel> | oracle-e | oracle-a | oracle-l")
     p.add_argument("--graph", help="serialized prediction map (default: build from trace)")
-    p.add_argument("--overhead", type=float, default=sim.DEFAULT_OVERHEAD_S,
-                   help="scheduler overhead charged per frame, seconds (default 0.002)")
     p.add_argument("--prefill", action="store_true",
                    help="prefill accelerator memory before the run (shift and single)")
     _add_scheduler_flags(p)
@@ -174,19 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", help="optional per-frame timeline CSV for plotting")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("sweep", help="run a parameter grid of shift configurations")
-    p.add_argument("--catalog", help=f"catalog JSON (default ${CATALOG_ENV} or bundled)")
-    p.add_argument("--trace", help="trace file (default: bundled demo)")
+    p = sub.add_parser("sweep", parents=[inputs, overhead],
+                       help="run a parameter grid of shift configurations")
     p.add_argument("--grid", required=True, help="JSON mapping parameter -> list of values")
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--summary", help="correlation summary JSON (default <out>.summary.json)")
-    p.add_argument("--overhead", type=float, default=sim.DEFAULT_OVERHEAD_S,
-                   help="scheduler overhead charged per frame, seconds (default 0.002)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("gen-trace", help="generate a synthetic trace from a scenario")
     p.add_argument("--scenario", help="scenario JSON (default: bundled demo scenario)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
     p.add_argument("--out", required=True, help="output trace path")
     p.set_defaults(func=_cmd_gen_trace)
     return parser

@@ -452,17 +452,21 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
             arc = (_known_node(a["from"], nodes), _known_node(a["to"], nodes))
             _check_new(arc, arcs, "arc")
             arcs[arc] = _json_range(a, "cost", 1.0)
+        node_models = {model for model, _ in nodes}
         entries: dict[NodeKey, tuple[Prediction, ...]] = {}
         for i, e in enumerate(doc["entries"]):
             where = f"entries[{i}]"
             key = _known_node(e["node"], nodes)
             _check_new(key, entries, "entry")
             # Each model once, the node's own among them: the scheduler's
-            # bootstrap seeds a model from its own prediction.
+            # bootstrap seeds a model from its own prediction.  `predict`
+            # looks each predicted model up by its nodes.
             predictions: dict[ModelId, Prediction] = {}
             for p in e["predictions"]:
                 model = str(p["model"])
                 _check_new(model, predictions, "prediction for model")
+                if model not in node_models:
+                    raise ValueError(f"prediction for model {model}, which has no node")
                 predictions[model] = Prediction(
                     model=model,
                     accuracy=_json_range(p, "accuracy", 1.0),

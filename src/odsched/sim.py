@@ -21,12 +21,13 @@ Policies:
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -638,24 +639,31 @@ def write_report(report: SimulationReport, path: str | Path) -> None:
     write_json(report.to_dict(), path)
 
 
+def _write_csv(path: str | Path, header: str, rows: Iterable[Sequence]) -> None:
+    """The one CSV writer: `header` is a line of plain column names, and a
+    field holding a comma, a quote or a newline is quoted, so each row reads
+    back with the header's width."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_frames_csv(report: SimulationReport, path: str | Path) -> None:
-    lines = ["frame,model,accelerator,iou,confidence,latency_s,energy_j,swap"]
-    for f in report.per_frame:
-        lines.append(
-            f"{f.frame_index},{f.model},{f.accelerator},{f.achieved_iou},"
-            f"{f.confidence},{f.latency_s},{f.energy_j},{int(f.swap_occurred)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (
+        (f.frame_index, f.model, f.accelerator, f.achieved_iou, f.confidence,
+         f.latency_s, f.energy_j, int(f.swap_occurred))
+        for f in report.per_frame
+    )
+    _write_csv(path, "frame,model,accelerator,iou,confidence,latency_s,energy_j,swap", rows)
 
 
 def write_timeline_csv(report: SimulationReport, path: str | Path) -> None:
     """Per-frame timeline (frame vs chosen pair, IoU, energy) for plotting."""
-    lines = ["frame,model,accelerator,iou,energy_j"]
-    for f in report.per_frame:
-        lines.append(
-            f"{f.frame_index},{f.model},{f.accelerator},{f.achieved_iou},{f.energy_j}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (
+        (f.frame_index, f.model, f.accelerator, f.achieved_iou, f.energy_j)
+        for f in report.per_frame
+    )
+    _write_csv(path, "frame,model,accelerator,iou,energy_j", rows)
 
 
 # Report fields written after the parameters, one row per configuration.
@@ -675,8 +683,8 @@ _SWEEP_COLUMNS = (
 def write_sweep_csv(
     results: Sequence[tuple[SchedulerConfig, SimulationReport]], path: str | Path
 ) -> None:
-    lines = [",".join(PARAM_ORDER + _SWEEP_COLUMNS)]
-    for cfg, rep in results:
-        row = [*cfg.params().values(), *(getattr(rep, c) for c in _SWEEP_COLUMNS)]
-        lines.append(",".join(str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = (
+        [*cfg.params().values(), *(getattr(rep, c) for c in _SWEEP_COLUMNS)]
+        for cfg, rep in results
+    )
+    _write_csv(path, ",".join(PARAM_ORDER + _SWEEP_COLUMNS), rows)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from conftest import make_catalog, make_profile
 from odsched.catalog import (
     BoundingBox,
+    CharacterizationTrace,
+    FrameRecord,
     builtin_catalog,
     catalog_from_dict,
     catalog_to_dict,
@@ -49,6 +52,8 @@ def test_iou_zero_area_rules():
     assert iou(point, BoundingBox(2, 2, 2, 2)) == 0.0
     # zero-area box inside a positive-area one contributes no intersection
     assert iou(point, BoundingBox(0, 0, 5, 5)) == 0.0
+    # overlapping boxes whose areas underflow to 0: no 0/0
+    assert iou(BoundingBox(0, 0, 1e-200, 1e-200), BoundingBox(0, 0, 1e-200, 2e-200)) == 0.0
 
 
 coords = st.floats(min_value=0, max_value=1000, allow_nan=False)
@@ -92,6 +97,12 @@ def test_energy_of_reference_rows():
     assert energy_of(0.0, 123.0) == 0.0
 
 
+@pytest.mark.parametrize("latency, power", [(-0.1, 1.0), (0.1, -1.0)])
+def test_energy_of_rejects_negative_inputs(latency, power):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        energy_of(latency, power)
+
+
 @given(
     st.floats(min_value=1e-9, max_value=1e6),
     st.floats(min_value=1e-9, max_value=1e6),
@@ -130,6 +141,8 @@ def test_minimal_catalog_accepted():
     cat = catalog_from_dict(_minimal_doc())
     assert cat.models == ("m1",)
     assert cat.profile("m1", "gpu").avg_energy_j == 1.0
+    with pytest.raises(KeyError, match=r"no profile for pair \(m1, dla\)"):
+        cat.profile("m1", "dla")
 
 
 def test_reference_row_accepted():
@@ -243,6 +256,13 @@ def test_missing_file_and_bad_json(tmp_path):
         load_catalog(bad)
 
 
+def test_profile_keyed_under_another_pair_rejected():
+    cat = make_catalog([make_profile("a", "gpu", 0.1, 10.0), make_profile("b", "gpu", 0.2, 10.0)])
+    swapped = {("a", "gpu"): cat.profile("b", "gpu"), ("b", "gpu"): cat.profile("a", "gpu")}
+    with pytest.raises(CatalogError, match=r"^profile keyed under wrong pair: \('a', 'gpu'\)$"):
+        replace(cat, profiles=swapped)
+
+
 def test_catalog_round_trip(tmp_path, builtin):
     path = tmp_path / "cat.json"
     save_catalog(builtin, path)
@@ -330,6 +350,14 @@ def test_load_trace_non_monotone_frames(tmp_path, two_model_catalog):
     )
     with pytest.raises(TraceError, match="not strictly increasing"):
         load_trace(path, two_model_catalog)
+
+
+def test_frame_and_trace_indices_checked_on_construction():
+    with pytest.raises(ValueError, match=r"^frame index -1 must be >= 0$"):
+        FrameRecord(frame_index=-1, per_model={})
+    frame = FrameRecord(frame_index=4, per_model={})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CharacterizationTrace(frames=(frame, frame))
 
 
 def test_load_trace_iou_without_box(tmp_path, two_model_catalog):
@@ -454,6 +482,18 @@ def test_load_trace_crlf_equals_lf(tmp_path, two_model_catalog):
     ]
     assert [f.frame is None or f.frame.to_bytes() for f in a.frames] == [
         f.frame is None or f.frame.to_bytes() for f in b.frames
+    ]
+
+
+def test_load_trace_skips_blank_lines(tmp_path, two_model_catalog):
+    lines = [json.dumps({"frame": i, "detections": {"a": _det(0.5, 0.0)}}) for i in range(3)]
+    plain, spaced = tmp_path / "plain.ndjson", tmp_path / "spaced.ndjson"
+    plain.write_text("\n".join(lines) + "\n")
+    spaced.write_text("\n" + "\n  \t\n".join(lines) + "\n\n")
+    a, b = load_trace(plain, two_model_catalog), load_trace(spaced, two_model_catalog)
+    assert len(a) == 3
+    assert [(f.frame_index, f.per_model) for f in a.frames] == [
+        (f.frame_index, f.per_model) for f in b.frames
     ]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import odsched
 from odsched.catalog import builtin_catalog, load_trace, save_catalog, save_trace
-from odsched.cli import main
+from odsched.cli import build_parser, main
 from odsched.sim import demo_scenario, gen_trace
 
 
@@ -204,6 +205,26 @@ def test_simulate_graph_entry_without_its_own_model_fails_before_writing(
     assert not out.exists()
 
 
+def test_simulate_graph_predicting_a_model_without_nodes_fails_before_writing(
+    tmp_path, trace_file, capsys
+):
+    # The demo trace characterizes two of the catalog's models, not yolov7-e6e.
+    pm_path = tmp_path / "pm.json"
+    assert main(["build-graph", "--trace", trace_file, "--out", str(pm_path)]) == 0
+    doc = json.loads(pm_path.read_text())
+    for entry in doc["entries"]:
+        entry["predictions"].append({"model": "yolov7-e6e", "accuracy": 1.0, "distance": 0.0})
+    pm_path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code = main(
+        ["simulate", "--trace", trace_file, "--graph", str(pm_path), "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "entries[0]: prediction for model yolov7-e6e, which has no node" in err
+    assert not out.exists()
+
+
 def test_sweep_two_by_two(tmp_path, trace_file, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"w_accuracy": [0.5, 1.0], "w_energy": [0.0, 1.0]}))
@@ -339,6 +360,23 @@ def test_env_var_overrides_default_catalog(tmp_path, trace_file, monkeypatch):
          "--out", str(tmp_path / "r.json")]
     )
     assert code == 0
+
+
+def test_every_option_has_help_and_a_shared_flag_means_the_same_everywhere():
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    seen: dict[str, tuple] = {}
+    for command, sub in commands.items():
+        for action in sub._actions:
+            (flag,) = action.option_strings[-1:]
+            assert action.help, f"{command} {flag} has no help"
+            # `--out` names each command's own output.
+            if flag in ("--help", "--out"):
+                continue
+            spec = (action.help, action.default, action.dest, action.type, action.metavar)
+            assert seen.setdefault(flag, spec) == spec, f"{command} {flag} differs"
+    assert {"--catalog", "--trace", "--overhead", "--distance", "--bucket-width"} <= set(seen)
 
 
 def test_import_loads_neither_scipy_stats_nor_sparse():

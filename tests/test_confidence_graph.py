@@ -237,6 +237,13 @@ def test_normalize_invert_isolated_node():
     assert cg.arcs == {}
 
 
+def test_normalize_invert_rejects_zero_weight_edge():
+    a, b = ("a", 0), ("b", 0)
+    g = CoGraph(bucket_width=0.1, nodes={k: _node(*k) for k in (a, b)}, edges={(a, b): 0})
+    with pytest.raises(ValueError, match="non-positive weight 0"):
+        normalize_invert(g)
+
+
 def test_cograph_never_links_same_model_buckets():
     from conftest import random_cost_graph
 

@@ -246,6 +246,10 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
         ("prediction map", ("entries", 0, "predictions"),
          _MAP["entries"][0]["predictions"] * 2,
          r"^entries\[0\]: duplicate prediction for model a$"),
+        # `predict` looks a predicted model up by its nodes.
+        ("prediction map", ("entries", 0, "predictions"),
+         [*_MAP["entries"][0]["predictions"], {"model": "ghost", "accuracy": 1.0, "distance": 0.0}],
+         r"^entries\[0\]: prediction for model ghost, which has no node$"),
         ("trace record", ("frame",), -1, r"trace.ndjson:1: 'frame': -1 must be >= 0$"),
         ("trace record", ("detections", "a", "confidence"), "0.5",
          r"trace.ndjson:1: frame 0: 'detections.a': confidence: must be a number, got '0.5'$"),

@@ -71,6 +71,12 @@ def test_request_larger_than_capacity():
         mem.request("c", cat)
 
 
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_capacity_must_be_positive(capacity):
+    with pytest.raises(ValueError, match=f"capacity must be > 0, got {capacity}"):
+        AcceleratorMemory("gpu", capacity)
+
+
 def test_is_resident_does_not_touch_recency():
     cat = _catalog()
     mem = AcceleratorMemory("gpu", 2 * GB)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,12 @@ def test_normalize_single_pair():
     assert costs.latency_score[("a", "gpu")] == 1.0
 
 
+def test_normalize_catalog_without_profiles_rejected():
+    cat = make_catalog([make_profile("a", "gpu", 0.1, 10.0)])
+    with pytest.raises(ValueError, match="no profiled pairs"):
+        normalize_costs(replace(cat, profiles={}))
+
+
 # ---------------------------------------------------------------------------
 # valid set and momentum
 
@@ -196,6 +203,13 @@ def test_valid_set_falls_back_to_all():
 
 def test_valid_set_boundary_inclusive():
     assert valid_set({"a": 0.5}, 0.5) == {"a"}
+
+
+def test_valid_set_and_best_pair_reject_empty_input():
+    with pytest.raises(ValueError, match="no averaged predictions"):
+        valid_set({}, 0.5)
+    with pytest.raises(ValueError, match="no candidate pairs"):
+        best_pair({})
 
 
 def _preds(**accs: float) -> tuple[Prediction, ...]:

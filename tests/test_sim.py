@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from importlib import resources
 
@@ -208,6 +209,11 @@ def test_oracle_empty_frame_rejected(builtin):
         oracle_choose(FrameRecord(frame_index=3, per_model={}), builtin, "energy")
 
 
+def test_oracle_unknown_objective_rejected(builtin):
+    with pytest.raises(ValueError, match="unknown oracle objective 'speed'"):
+        oracle_choose(_frame({"yolov7": (0.9, 0.7)}), builtin, "speed")
+
+
 @pytest.mark.parametrize(
     "policy, message",
     [
@@ -305,6 +311,25 @@ def test_metrics_empty_rejected():
 
 
 # ---------------------------------------------------------------------------
+# CSV writers
+
+
+def test_csv_names_holding_a_comma_quote_or_newline_read_back(tmp_path):
+    name = 'yolo,"v7"\nx'
+    catalog = make_catalog([make_profile(name, "gpu", 0.1, 10.0)])
+    trace = make_trace([{name: (0.9, 0.7)}, {name: (0.4, 0.2)}])
+    report = run(trace, catalog, Policy.single(name, "gpu"))
+    for write in (sim.write_frames_csv, sim.write_timeline_csv):
+        path = tmp_path / "out.csv"
+        write(report, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 2
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[header.index("model")] for row in rows] == [name, name]
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 
@@ -395,6 +420,8 @@ def test_sweep_correlations_shape(builtin, demo_trace):
     summary = sweep_correlations(results)
     assert set(summary) == {"w_energy"}
     assert set(summary["w_energy"]) == {"iou", "energy", "latency"}
+    with pytest.raises(ValueError, match="no sweep results"):
+        sweep_correlations([])
 
 
 def test_sweep_higher_accuracy_knob_does_not_lose_iou(builtin, demo_trace):
