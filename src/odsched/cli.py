@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # Flags shared by several commands, declared once.
     inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--catalog", default=os.environ.get(CATALOG_ENV),
+    # A set but empty variable counts as unset.
+    inputs.add_argument("--catalog", default=os.environ.get(CATALOG_ENV) or None,
                         help=f"catalog JSON (default ${CATALOG_ENV} or bundled)")
     inputs.add_argument("--trace", help="trace file (default: bundled demo)")
     overhead = argparse.ArgumentParser(add_help=False)

@@ -3,7 +3,11 @@
 Each frame, the scheduler first checks whether the context is stable: the
 min of frame NCC and detection-box NCC, multiplied by the current model's
 confidence, must clear the accuracy threshold.  If it does, the incumbent
-pair stays and nothing else runs.  Otherwise the confidence graph predicts
+pair stays and nothing else runs.  No NCC that cannot change this outcome
+is computed: none when the confidence alone is below the threshold (the
+similarity is at most 1), and no frame NCC when the box NCC times the
+confidence is below it (the min is at most the box term).  Such a decision
+records its similarity as None.  Otherwise the confidence graph predicts
 every model's accuracy, the predictions are smoothed over a momentum window,
 the predicted models that have a profiled pair and meet the threshold form
 the valid set (falling back to all of them when none qualify), and every
@@ -109,7 +113,9 @@ class NormalizedCosts:
 class Decision:
     pair: Pair
     rescheduled: bool
-    similarity: float
+    # min(frame NCC, box NCC); 0 with no previous frame or no frame, and None
+    # when a term was skipped because it could not change the decision.
+    similarity: float | None
     scores: Mapping[Pair, float] = field(default_factory=dict)
     predictions: tuple[Prediction, ...] = ()
     # True when no predicted model with a profiled pair met the accuracy
@@ -215,11 +221,11 @@ class SchedulerState:
         self.terms = {model: tuple(pairs) for model, pairs in terms.items()}
         self.buffers: dict[ModelId, deque[float]] = {}
         # Frame and box NCC terms keyed by what they compare, shared by every
-        # state replaying the same trace.  Without one, each call gets a
-        # throwaway dict, so a long stream accumulates nothing.
+        # state replaying the same trace.  Without one nothing is kept, so a
+        # long stream accumulates nothing.
         self.memo = memo
         # The last frame seen, its own detection, and its FrameStats when the
-        # last call computed them (None after a memo hit).
+        # last call computed them (with a memo, None after a hit or a skip).
         self._last_image: GrayscaleImage | None = None
         self._last_box: BoundingBox | None = None
         self._last_stats: FrameStats | None = None
@@ -239,30 +245,56 @@ class SchedulerState:
             seeds.append(Prediction(model=model, accuracy=own.accuracy, distance=0.0))
         return self._select(tuple(seeds), 0.0)
 
-    def _context(self, frame: GrayscaleImage, box: BoundingBox | None) -> float:
-        """min(frame NCC, box NCC) of `frame` against the last frame, then
-        make `frame` and `box` the last ones."""
+    def _context(
+        self, frame: GrayscaleImage, box: BoundingBox | None, confidence: float
+    ) -> float | None:
+        """min(frame NCC, box NCC) of `frame` against the last frame, or None
+        when that min times `confidence` falls below the accuracy threshold
+        whatever the skipped terms read; then make `frame` and `box` the
+        last ones."""
         prev, prev_box, prev_stats = self._last_image, self._last_box, self._last_stats
-        frame_term = box_term = 0.0
-        cur_stats = None
-        if prev is not None:
-            memo = self.memo if self.memo is not None else {}
-            key: tuple = (prev, frame)
-            frame_term = memo.get(key)
-            if frame_term is None:
-                cur_stats = FrameStats(frame.pixels)
-                if prev_stats is None:
-                    prev_stats = FrameStats(prev.pixels)
-                frame_term = memo[key] = ncc_cached(prev_stats, cur_stats)
-            if box is not None and prev_box is not None:
-                key = (prev, frame, prev_box, box)
+        if prev is not None and prev.pixels.shape != frame.pixels.shape:
+            raise ValueError(
+                f"image dimensions differ: {prev.pixels.shape} vs {frame.pixels.shape}"
+            )
+        memo = self.memo
+        # Without a memo every frame is centred in its own call, so no call
+        # centres two frames; with one, a frame is centred only on a miss.
+        cur_stats = FrameStats(frame.pixels) if memo is None else None
+        self._last_image, self._last_box, self._last_stats = frame, box, cur_stats
+        if prev is None:
+            return 0.0
+        # The similarity is at most 1 and min(frame, box) <= box, so each
+        # None below is returned only when the decision is a full pass.
+        threshold = self.config.accuracy_threshold
+        if confidence < threshold:
+            return None
+        box_term = 0.0
+        if box is not None and prev_box is not None:
+            if memo is None:
+                box_term = bbox_similarity(prev, prev_box, frame, box)
+            else:
+                key: tuple = (prev, frame, prev_box, box)
                 box_term = memo.get(key)
                 if box_term is None:
                     box_term = memo[key] = bbox_similarity(prev, prev_box, frame, box)
-        self._last_image, self._last_box, self._last_stats = frame, box, cur_stats
+        if box_term * confidence < threshold:
+            return None
+        if memo is None:
+            frame_term = ncc_cached(prev_stats, cur_stats)
+        else:
+            key = (prev, frame)
+            frame_term = memo.get(key)
+            if frame_term is None:
+                self._last_stats = cur_stats = FrameStats(frame.pixels)
+                if prev_stats is None:
+                    prev_stats = FrameStats(prev.pixels)
+                frame_term = memo[key] = ncc_cached(prev_stats, cur_stats)
         return min(frame_term, box_term)
 
-    def _select(self, predictions: tuple[Prediction, ...], similarity: float) -> Decision:
+    def _select(
+        self, predictions: tuple[Prediction, ...], similarity: float | None
+    ) -> Decision:
         """The full scheduling pass: momentum, then the valid set among the
         predicted models that have a profiled pair, then the argmax.  Models
         and their pairs are visited in sorted order and only a strictly
@@ -305,8 +337,8 @@ def schedule(
     cfg = state.config
     # A call without a frame scores 0 and leaves the last frame and its own
     # box in place for the next call to compare against.
-    sim_score = 0.0 if frame is None else state._context(frame, box)
+    sim_score = 0.0 if frame is None else state._context(frame, box, confidence)
 
-    if sim_score * confidence >= cfg.accuracy_threshold:
+    if sim_score is not None and sim_score * confidence >= cfg.accuracy_threshold:
         return Decision(pair=pair, rescheduled=False, similarity=sim_score)
     return state._select(predict(state.prediction_map, pair[0], confidence), sim_score)

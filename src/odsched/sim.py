@@ -110,12 +110,14 @@ class Policy:
             if text == f"oracle-{letter}":
                 return cls.oracle(objective)
         if text.startswith("single:"):
-            parts = text.split(":")
-            if len(parts) != 3 or not parts[1] or not parts[2]:
+            # The accelerator follows the last colon, so a model name may
+            # hold one, as `describe()` writes it.
+            model, _, accelerator = text.removeprefix("single:").rpartition(":")
+            if not model or not accelerator:
                 raise ValidationError(
                     f"bad single policy {text!r}, expected single:<model>:<accelerator>"
                 )
-            return cls.single(parts[1], parts[2])
+            return cls.single(model, accelerator)
         raise ValidationError(
             f"unknown policy {text!r}; use shift, single:<model>:<accel>, "
             "oracle-e, oracle-a, or oracle-l"

@@ -362,6 +362,15 @@ def test_env_var_overrides_default_catalog(tmp_path, trace_file, monkeypatch):
     assert code == 0
 
 
+def test_empty_env_var_means_the_bundled_catalog(tmp_path, trace_file, monkeypatch, capsys):
+    monkeypatch.setenv("ODSCHED_CATALOG", "")
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--trace", trace_file, "--policy", "single:yolov7:gpu",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert out.exists()
+
+
 def test_every_option_has_help_and_a_shared_flag_means_the_same_everywhere():
     parser = build_parser()
     (commands,) = (a.choices for a in parser._actions

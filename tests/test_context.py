@@ -157,6 +157,16 @@ def test_resample_indices_match_clamped_formula():
         assert np.array_equal(_resample_nearest(ramp[None, :])[0], clamped)
 
 
+def test_resample_integer_indices_match_float_formula():
+    # ((2k + 1) * n) >> 7 is floor((k + 0.5) * n / 64) exactly, with no clamp.
+    centers = np.arange(64) + 0.5
+    for n in range(1, 4097):
+        expected = (centers * n / 64).astype(np.intp)
+        ramp = np.arange(n)
+        assert np.array_equal(_resample_nearest(ramp[:, None])[:, 0], expected)
+        assert np.array_equal(_resample_nearest(ramp[None, :])[0], expected)
+
+
 # ---------------------------------------------------------------------------
 # box similarity
 

@@ -385,8 +385,11 @@ def test_frameless_call_keeps_last_frame_and_its_own_box():
 
 
 def test_shared_memo_matches_fresh_state():
-    frames = [_image(10 + i) for i in range(3)]
-    frames.append(GrayscaleImage(np.clip(frames[2].pixels + _image(13).pixels / 16, 0, 255)))
+    # Each frame is the one before plus noise, so both terms are computed on
+    # every frame after the first.
+    frames = [_image(10)]
+    for i in range(1, 4):
+        frames.append(GrayscaleImage(np.clip(frames[-1].pixels + _image(10 + i).pixels / 16, 0, 255)))
     boxes = [BoundingBox(1, 1, 12, 12)] * 4
 
     def similarities(state, indices=range(4)):
@@ -402,7 +405,7 @@ def test_shared_memo_matches_fresh_state():
     # frame's stats were never built, so they must not come from frame 1.
     shared = similarities(SchedulerState(cat, pm, memo=memo))
     assert shared == similarities(SchedulerState(cat, pm))
-    assert shared[3] > 0.5  # frame 3 is frame 2 plus noise
+    assert all(s > 0.5 for s in shared[1:])
     assert len(memo) == 6
     assert all(type(v) is float for v in memo.values())
 
@@ -433,6 +436,167 @@ def test_frame_size_change_propagates_error():
     schedule(state, ("a", "gpu"), 0.5, _image(4, 32), None)
     with pytest.raises(ValueError, match="differ"):
         schedule(state, ("a", "gpu"), 0.5, _image(5, 16), None)
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+@pytest.mark.parametrize(("confidence", "box"), [(0.1, BoundingBox(1, 1, 9, 9)), (0.5, None)])
+def test_frame_size_change_raises_on_a_skipped_frame(memo, confidence, box):
+    # At threshold 0.25, confidence 0.1 skips both terms and a missing box
+    # skips the frame term; the size check still runs.
+    _, _, state = _two_model_setup()
+    state.memo = memo
+    schedule(state, ("a", "gpu"), 0.5, _image(4, 32), BoundingBox(1, 1, 9, 9))
+    with pytest.raises(ValueError, match="image dimensions differ"):
+        schedule(state, ("a", "gpu"), confidence, _image(5, 16), box)
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+@pytest.mark.parametrize(
+    ("threshold", "confidence", "box_seed", "calls", "similarity_known"),
+    [
+        (0.25, 0.2, 7, (0, 0), False),  # confidence below the threshold
+        (0.25, 0.9, 8, (1, 0), False),  # box term near 0 decides alone
+        (0.25, 0.9, 7, (1, 1), True),  # box term 1: the frame term decides
+        (0.0, 0.0, 8, (1, 1), True),  # threshold 0 computes everything
+    ],
+)
+def test_context_skips_the_terms_that_cannot_change_the_decision(
+    monkeypatch, memo, threshold, confidence, box_seed, calls, similarity_known
+):
+    from odsched import scheduler
+
+    counts = {"bbox_similarity": 0, "ncc_cached": 0}
+    for name in counts:
+        real = getattr(scheduler, name)
+
+        def counting(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(scheduler, name, counting)
+    _, _, state = _two_model_setup(threshold=threshold)
+    state.memo = memo
+    box = BoundingBox(2, 2, 14, 14)
+    prev = _image(7)
+    # The current frame's box region is the previous frame's (box term 1)
+    # or another frame's noise (box term near 0).
+    cur_pixels = prev.pixels.copy()
+    cur_pixels[2:14, 2:14] = _image(box_seed).pixels[2:14, 2:14]
+    cur = GrayscaleImage(cur_pixels)
+    schedule(state, ("a", "gpu"), 0.9, prev, box)
+    d = schedule(state, ("a", "gpu"), confidence, cur, box)
+    assert (counts["bbox_similarity"], counts["ncc_cached"]) == calls
+    assert (d.similarity is not None) is similarity_known
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+def test_each_frame_is_centred_at_most_once(builtin, demo_trace, monkeypatch, memo):
+    from odsched import scheduler
+    from odsched.confidence_graph import build_prediction_map
+
+    centred = []
+    real = scheduler.FrameStats
+
+    def counting(pixels):
+        centred.append(id(pixels))
+        return real(pixels)
+
+    monkeypatch.setattr(scheduler, "FrameStats", counting)
+    state = SchedulerState(builtin, build_prediction_map(demo_trace), memo=memo)
+    pair = state.bootstrap().pair
+    per_call, skipped = [], 0
+    for fr in demo_trace.frames:
+        out = fr.per_model.get(pair[0])
+        conf = out.confidence if out is not None else 0.0
+        box = out.box if out is not None else None
+        before = len(centred)
+        decision = schedule(state, pair, conf, fr.frame, box)
+        per_call.append(len(centred) - before)
+        skipped += decision.similarity is None
+        pair = decision.pair
+    assert skipped > 0
+    assert len(set(centred)) == len(centred)
+    if memo is None:
+        # No deferral: every call centres its own frame and no other.
+        assert per_call == [1] * len(demo_trace)
+
+
+def _full_similarity_schedule(state, last, pair, confidence, frame, box):
+    """`schedule` computing both context terms on every frame, through
+    `context.similarity`; `last` holds the previous frame and its box."""
+    from odsched.context import similarity
+
+    s = 0.0
+    if frame is not None:
+        if last:
+            s = similarity(last[0], frame, last[1], box)
+        last[:] = [frame, box]
+    if s * confidence >= state.config.accuracy_threshold:
+        return Decision(pair=pair, rescheduled=False, similarity=s)
+    return state._select(predict(state.prediction_map, pair[0], confidence), s)
+
+
+def _context_images():
+    base = _image(20, 24)
+    noisy = GrayscaleImage(np.clip(base.pixels + _image(21, 24).pixels / 8, 0, 255))
+    negated = GrayscaleImage(255.0 - base.pixels)
+    return (base, noisy, negated, _image(22, 24), GrayscaleImage(np.full((24, 24), 100.0)))
+
+
+_CONTEXT_IMAGES = _context_images()
+_CONTEXT_BOXES = (
+    None,
+    BoundingBox(3, 3, 3, 9),  # zero area
+    BoundingBox(2, 2, 14, 14),
+    BoundingBox(6, 4, 20, 18),
+    BoundingBox(0, 0, 24, 24),
+)
+
+
+@st.composite
+def _context_streams(draw):
+    """A threshold, a memo choice and a run of (frame, box, confidence)
+    calls over similar, anti-correlated, unrelated and constant frames."""
+    threshold = draw(st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), _UNIT))
+    unit = st.one_of(st.just(threshold), st.sampled_from((0.0, 1.0)), _UNIT)
+    frame = st.one_of(st.none(), st.sampled_from(_CONTEXT_IMAGES))
+    calls = draw(st.lists(
+        st.tuples(frame, st.sampled_from(_CONTEXT_BOXES), unit), min_size=1, max_size=12
+    ))
+    memo = draw(st.sampled_from(("none", "fresh", "shared")))
+    warm_threshold = draw(_UNIT)
+    return threshold, calls, memo, warm_threshold
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_context_streams())
+def test_schedule_matches_full_similarity_schedule(stream):
+    threshold, calls, memo_kind, warm_threshold = stream
+    cat, pm, state = _two_model_setup(threshold=threshold, knobs=Knobs(1.0, 0.5, 0.5))
+    cfg = state.config
+    state.memo = None if memo_kind == "none" else {}
+    if memo_kind == "shared":
+        # Another configuration fills part of the memo first.
+        warm_cfg = replace(cfg, accuracy_threshold=warm_threshold)
+        warm = SchedulerState(cat, pm, warm_cfg, memo=state.memo)
+        for frame, box, confidence in calls:
+            schedule(warm, ("a", "gpu"), confidence, frame, box)
+    reference, last = SchedulerState(cat, pm, cfg), []
+    pair = ("a", "gpu")
+    for frame, box, confidence in calls:
+        got = schedule(state, pair, confidence, frame, box)
+        want = _full_similarity_schedule(reference, last, pair, confidence, frame, box)
+        assert got.pair == want.pair
+        assert got.rescheduled == want.rescheduled
+        assert list(got.scores.items()) == list(want.scores.items())
+        assert got.predictions == want.predictions
+        assert got.valid_fallback == want.valid_fallback
+        assert state.buffers == reference.buffers
+        if got.similarity is None:
+            assert want.rescheduled and want.similarity * confidence < threshold
+        else:
+            assert got.similarity == want.similarity
+        pair = got.pair
 
 
 # ---------------------------------------------------------------------------
