@@ -55,7 +55,9 @@ from .errors import (
     json_bool,
     json_float,
     json_int,
-    read_json,
+    json_names,
+    json_str,
+    load_json,
     write_json,
 )
 from .images import GrayscaleImage, decode_inline, encode_inline, read_pgm
@@ -256,28 +258,29 @@ def catalog_from_dict(doc: dict) -> Catalog:
         where = "accelerators"
         for i, entry in enumerate(doc["accelerators"]):
             where = f"accelerators[{i}]"
+            name = json_str(entry, "name")
             acc = Accelerator(
-                name=str(entry["name"]),
+                name=name,
                 memory_bytes=json_int(entry, "memory_bytes"),
-                is_gpu=json_bool(entry, "gpu", str(entry["name"]).lower() == "gpu"),
+                is_gpu=json_bool(entry, "gpu", name.lower() == "gpu"),
             )
             if acc.name in accelerators:
                 raise CatalogError(f"duplicate accelerator {acc.name!r}")
             accelerators[acc.name] = acc
         where = "models"
-        models = tuple(str(m) for m in doc["models"])
+        models = json_names(doc["models"])
         compatibility: set[Pair] = set()
         where = "compatibility"
         for model, accels in doc["compatibility"].items():
             where = f"compatibility[{model!r}]"
-            compatibility.update((str(model), str(accel)) for accel in accels)
+            compatibility.update((model, accel) for accel in json_names(accels))
         profiles: dict[Pair, ModelProfile] = {}
         where = "profiles"
         for i, entry in enumerate(doc["profiles"]):
             where = f"profiles[{i}]"
             prof = ModelProfile(
-                model=str(entry["model"]),
-                accelerator=str(entry["accelerator"]),
+                model=json_str(entry, "model"),
+                accelerator=json_str(entry, "accelerator"),
                 avg_latency_s=json_float(entry, "avg_latency_s"),
                 avg_power_w=json_float(entry, "avg_power_w"),
                 avg_energy_j=json_float(entry, "avg_energy_j"),
@@ -319,7 +322,7 @@ def catalog_to_dict(cat: Catalog) -> dict:
 
 def load_catalog(path: str | Path) -> Catalog:
     """Load and validate a catalog JSON file."""
-    return catalog_from_dict(read_json(path, "catalog", CatalogError))
+    return load_json(path, "catalog", CatalogError, catalog_from_dict)
 
 
 def save_catalog(cat: Catalog, path: str | Path) -> None:
@@ -396,15 +399,6 @@ def _box_from_dict(obj: dict) -> BoundingBox:
     )
 
 
-def _box_to_dict(box: BoundingBox) -> dict:
-    return {
-        "x_min": box.x_min,
-        "y_min": box.y_min,
-        "x_max": box.x_max,
-        "y_max": box.y_max,
-    }
-
-
 def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
     """Load a newline-delimited trace, validating against the catalog.
 
@@ -428,7 +422,7 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
             where = f"{path}:{lineno}"
             try:
                 rec = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # also undecodable bytes
+            except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
                 raise TraceError(f"{where}: invalid JSON: {exc}") from exc
             field = "record"
             try:
@@ -493,17 +487,14 @@ def frame_to_dict(fr: FrameRecord) -> dict:
     """JSON form of one frame record (frames always inlined)."""
     rec: dict = {"frame": fr.frame_index}
     if fr.ground_truth is not None:
-        rec["ground_truth"] = _box_to_dict(fr.ground_truth)
+        rec["ground_truth"] = asdict(fr.ground_truth)
     if fr.frame is not None:
         rec["frame_image"] = encode_inline(fr.frame)
-    dets = {}
-    for model in sorted(fr.per_model):
-        out = fr.per_model[model]
-        det: dict = {"confidence": out.confidence, "iou": out.iou}
-        if out.box is not None:
-            det["box"] = _box_to_dict(out.box)
-        dets[model] = det
-    rec["detections"] = dets
+    # A detection without a box is written without the key, not as null.
+    rec["detections"] = {
+        model: {k: v for k, v in asdict(fr.per_model[model]).items() if v is not None}
+        for model in sorted(fr.per_model)
+    }
     return rec
 
 

@@ -40,7 +40,8 @@ from .errors import (
     decode_error,
     json_float,
     json_int,
-    read_json,
+    json_str,
+    load_json,
     write_json,
 )
 
@@ -413,7 +414,7 @@ def _json_range(doc: dict, key: str, hi: float) -> float:
 def _known_node(pair: list, nodes: Mapping[NodeKey, GraphNode]) -> NodeKey:
     """The node key `[model, bucket]`, which must name one of `nodes`."""
     model, bucket = pair
-    key = (str(model), json_int({"bucket": bucket}, "bucket"))
+    key = (json_str({"model": model}, "model"), json_int({"bucket": bucket}, "bucket"))
     if key not in nodes:
         raise ValueError(f"unknown node {key}")
     return key
@@ -439,7 +440,7 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
         nodes: dict[NodeKey, GraphNode] = {}
         for i, n in enumerate(doc["nodes"]):
             where = f"nodes[{i}]"
-            key = (str(n["model"]), json_int(n, "bucket"))
+            key = (json_str(n, "model"), json_int(n, "bucket"))
             _check_new(key, nodes, "node")
             nodes[key] = GraphNode(
                 bucket=_bucket(*key, width),
@@ -463,7 +464,7 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
             # looks each predicted model up by its nodes.
             predictions: dict[ModelId, Prediction] = {}
             for p in e["predictions"]:
-                model = str(p["model"])
+                model = json_str(p, "model")
                 _check_new(model, predictions, "prediction for model")
                 if model not in node_models:
                     raise ValueError(f"prediction for model {model}, which has no node")
@@ -496,4 +497,4 @@ def save_prediction_map(pm: PredictionMap, path: str | Path) -> None:
 
 
 def load_prediction_map(path: str | Path) -> PredictionMap:
-    return prediction_map_from_dict(read_json(path, "prediction map", ValidationError))
+    return load_json(path, "prediction map", ValidationError, prediction_map_from_dict)

@@ -3,8 +3,9 @@ JSON file layer.
 
 Every decoder runs in one `try` that labels the field it is decoding; any of
 `DECODE_ERRORS` there is malformed input, which `decode_error` reports.
-`json_float`, `json_int` and `json_bool` read a field that must hold that
-JSON type, and name the field when it does not.
+`json_float`, `json_int`, `json_bool` and `json_str` read a field that must
+hold that JSON type, and name the field when it does not; `json_names`
+reads a list of names, which must be a JSON array of strings.
 
 Checks on the per-record path test the valid case first, in one cheap
 comparison, and build an explanation only when that test fails, inside the
@@ -13,7 +14,9 @@ other value through the full number check.  A failing value therefore gets
 the same error, with the same message, as it would without the fast test.
 
 Every whole-file JSON input is parsed by `read_json`, which reports an
-unreadable or unparsable file as the caller's `ValidationError` subclass.
+unreadable or unparsable file (nesting too deep for the parser included) as
+the caller's `ValidationError` subclass; `load_json` also decodes it, and
+puts the file's path in front of a decoder's error.
 Every whole-file JSON output is written by `write_json` in one format:
 sorted keys, two-space indent, no NaN or infinity, a trailing newline.
 Traces are NDJSON and keep their per-line reader and writer in `catalog`.
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping, TypeVar
+
+_T = TypeVar("_T")
 
 
 class ValidationError(ValueError):
@@ -83,6 +88,23 @@ def json_bool(doc: Mapping[str, Any], key: str, default: bool) -> bool:
     return value
 
 
+def json_str(doc: Mapping[str, Any], key: str) -> str:
+    """`doc[key]`, which must be a JSON string; a number is not a name."""
+    value = doc[key]
+    if type(value) is not str:
+        raise ValueError(f"{key}: must be a string, got {value!r}")
+    return value
+
+
+def json_names(value: Any) -> tuple[str, ...]:
+    """`value`, which must be a JSON array of strings: neither a string,
+    whose characters would be read as names, nor an object, whose keys
+    would."""
+    if type(value) is not list or not all(type(name) is str for name in value):
+        raise ValueError(f"must be an array of strings, got {value!r}")
+    return tuple(value)
+
+
 def _json_number(doc: Mapping[str, Any], key: str) -> int | float:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -98,8 +120,23 @@ def read_json(path: str | Path, what: str, error: type[ValidationError]) -> Any:
         raise error(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # also undecodable bytes
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_json(
+    path: str | Path,
+    what: str,
+    error: type[ValidationError],
+    decode: Callable[[Any], _T],
+) -> _T:
+    """`decode` of the JSON document at `path`; an error it raises is raised
+    again with `path` in front."""
+    doc = read_json(path, what, error)
+    try:
+        return decode(doc)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_json(doc: Any, path: str | Path) -> None:

@@ -207,14 +207,14 @@ class SchedulerState:
     ) -> None:
         self.prediction_map = prediction_map
         self.config = config if config is not None else SchedulerConfig()
-        self.costs = normalize_costs(catalog)
         # Each profiled model's (pair, weighted energy, weighted latency), in
         # sorted pair order.  The two products stay apart: a score adds them
         # in `score_candidates`' order, so it rounds the same.
+        costs = normalize_costs(catalog)
         knobs = self.config.knobs
-        latency = self.costs.latency_score
+        latency = costs.latency_score
         terms: dict[ModelId, list[tuple[Pair, float, float]]] = {}
-        for pair, energy in self.costs.energy_score.items():
+        for pair, energy in costs.energy_score.items():
             terms.setdefault(pair[0], []).append(
                 (pair, energy * knobs.w_energy, latency[pair] * knobs.w_latency)
             )

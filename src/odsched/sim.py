@@ -50,7 +50,7 @@ from .errors import (
     json_bool,
     json_float,
     json_int,
-    read_json,
+    load_json,
     write_json,
 )
 from .images import GrayscaleImage
@@ -60,9 +60,15 @@ from .scheduler import SchedulerConfig, SchedulerState, schedule
 SUCCESS_IOU = 0.5
 DEFAULT_OVERHEAD_S = 0.002
 
-# Oracle objective -> the letter that names it in a policy string.
-_ORACLE_LETTERS = {"energy": "e", "accuracy": "a", "latency": "l"}
-_POLICY_KINDS = ("shift", "single", *(f"oracle_{o}" for o in _ORACLE_LETTERS))
+# Policy kind -> the policy string that names it; a single policy's string
+# goes on with <model>:<accelerator>.
+_POLICY_NAMES = {
+    "shift": "shift",
+    "single": "single:",
+    "oracle_energy": "oracle-e",
+    "oracle_accuracy": "oracle-a",
+    "oracle_latency": "oracle-l",
+}
 
 
 @dataclass(frozen=True)
@@ -72,7 +78,7 @@ class Policy:
     config: SchedulerConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _POLICY_KINDS:
+        if self.kind not in _POLICY_NAMES:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "single" and self.pair is None:
             raise ValueError("single-model policy requires a (model, accelerator) pair")
@@ -87,28 +93,23 @@ class Policy:
 
     @classmethod
     def oracle(cls, objective: str) -> Policy:
-        if objective not in _ORACLE_LETTERS:
+        kind = f"oracle_{objective}"
+        if kind not in _POLICY_NAMES:
             raise ValueError(f"unknown oracle objective {objective!r}")
-        return cls(kind=f"oracle_{objective}")
+        return cls(kind=kind)
 
     def describe(self) -> str:
         """The policy string: shift, single:<model>:<accelerator>, oracle-e,
         oracle-a or oracle-l."""
+        name = _POLICY_NAMES[self.kind]
         if self.kind == "single":
             assert self.pair is not None
-            return f"single:{self.pair[0]}:{self.pair[1]}"
-        if self.kind.startswith("oracle_"):
-            return "oracle-" + _ORACLE_LETTERS[self.kind.removeprefix("oracle_")]
-        return self.kind
+            return f"{name}{self.pair[0]}:{self.pair[1]}"
+        return name
 
     @classmethod
     def parse(cls, text: str, config: SchedulerConfig | None = None) -> Policy:
         """Inverse of `describe()`; a shift policy is given `config`."""
-        if text == "shift":
-            return cls.shift(config)
-        for objective, letter in _ORACLE_LETTERS.items():
-            if text == f"oracle-{letter}":
-                return cls.oracle(objective)
         if text.startswith("single:"):
             # The accelerator follows the last colon, so a model name may
             # hold one, as `describe()` writes it.
@@ -118,6 +119,9 @@ class Policy:
                     f"bad single policy {text!r}, expected single:<model>:<accelerator>"
                 )
             return cls.single(model, accelerator)
+        for kind, name in _POLICY_NAMES.items():
+            if text == name:
+                return cls(kind, config=config if kind == "shift" else None)
         raise ValidationError(
             f"unknown policy {text!r}; use shift, single:<model>:<accel>, "
             "oracle-e, oracle-a, or oracle-l"
@@ -216,7 +220,7 @@ def oracle_choose(frame: FrameRecord, catalog: Catalog, objective: str) -> Pair:
     When no such pair qualifies, every one is a candidate and the objective
     alone decides.
     """
-    if objective not in _ORACLE_LETTERS:
+    if f"oracle_{objective}" not in _POLICY_NAMES:
         raise ValueError(f"unknown oracle objective {objective!r}")
     if not frame.per_model:
         raise ValueError(f"frame {frame.frame_index} has no model outcomes")
@@ -265,13 +269,15 @@ def _run(
         raise ValueError(f"scheduler overhead {overhead_s} must be finite and >= 0")
     config = None
     charged_overhead_s = 0.0  # only the adaptive policy pays for deciding
-    memories: dict[str, AcceleratorMemory] | None = {
-        name: AcceleratorMemory(name, acc.memory_bytes)
-        for name, acc in catalog.accelerators.items()
-    }
-    if prefill:
-        for mem in memories.values():
-            mem.prefill(catalog, catalog.models)
+    memories: dict[str, AcceleratorMemory] | None = None  # oracles preload all
+    if policy.kind in ("shift", "single"):
+        memories = {
+            name: AcceleratorMemory(name, acc.memory_bytes)
+            for name, acc in catalog.accelerators.items()
+        }
+        if prefill:
+            for mem in memories.values():
+                mem.prefill(catalog, catalog.models)
     if policy.kind == "shift":
         config = policy.config if policy.config is not None else SchedulerConfig()
         charged_overhead_s = overhead_s
@@ -305,7 +311,6 @@ def _run(
         choose = lambda fr: fixed
     else:
         objective = policy.kind.removeprefix("oracle_")
-        memories = None  # oracles assume every model is preloaded
         choose = lambda fr: oracle_choose(fr, catalog, objective)
     per_frame = _replay(trace, catalog, choose, charged_overhead_s, memories)
     agg = metrics(per_frame, catalog.gpu_accelerators())
@@ -532,7 +537,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_dict(read_json(path, "scenario", ScenarioError))
+    return load_json(path, "scenario", ScenarioError, scenario_from_dict)
 
 
 def demo_scenario() -> Scenario:

@@ -18,6 +18,7 @@ from odsched.catalog import (
     catalog_from_dict,
     catalog_to_dict,
     energy_of,
+    frame_to_dict,
     iou,
     load_catalog,
     load_trace,
@@ -218,8 +219,9 @@ def test_non_finite_catalog_number_rejected(tmp_path, path, message, value):
     target[path[-1]] = value
     cat_path = tmp_path / "cat.json"
     cat_path.write_text(json.dumps(doc))  # NaN and Infinity tokens
-    with pytest.raises(CatalogError, match=message):
+    with pytest.raises(CatalogError, match=message) as info:
         load_catalog(cat_path)
+    assert str(info.value).startswith(f"{cat_path}: ")
 
 
 @pytest.mark.parametrize(
@@ -238,6 +240,22 @@ def test_non_finite_catalog_number_rejected(tmp_path, path, message, value):
          r"^profiles\[0\]: memory_bytes: must be a number, got True$"),
         ("accelerators", [{"name": "gpu", "memory_bytes": 9}],
          r"^profile \(m1, gpu\): memory_bytes 10 exceeds 'gpu' capacity \(9 B\)$"),
+        # Names are JSON strings and lists of names JSON arrays: a number is
+        # not converted, and neither a string's characters nor an object's
+        # keys are read as names.
+        ("models", [7], r"^models: must be an array of strings, got \[7\]$"),
+        ("models", "m1", r"^models: must be an array of strings, got 'm1'$"),
+        ("models", {"m1": 1}, r"^models: must be an array of strings, got \{'m1': 1\}$"),
+        ("compatibility", {"m1": "gpu"},
+         r"^compatibility\['m1'\]: must be an array of strings, got 'gpu'$"),
+        ("compatibility", {"m1": [None]},
+         r"^compatibility\['m1'\]: must be an array of strings, got \[None\]$"),
+        ("accelerators", [{"name": 5, "memory_bytes": 100}],
+         r"^accelerators\[0\]: name: must be a string, got 5$"),
+        ("profiles", [{**_minimal_doc()["profiles"][0], "model": 1}],
+         r"^profiles\[0\]: model: must be a string, got 1$"),
+        ("profiles", [{**_minimal_doc()["profiles"][0], "accelerator": ["gpu"]}],
+         r"^profiles\[0\]: accelerator: must be a string, got \['gpu'\]$"),
     ],
 )
 def test_catalog_wrong_json_type_names_field(key, value, message):
@@ -251,9 +269,10 @@ def test_missing_file_and_bad_json(tmp_path):
     with pytest.raises(CatalogError, match="cannot read"):
         load_catalog(tmp_path / "nope.json")
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(CatalogError, match="not valid JSON"):
-        load_catalog(bad)
+    for text in ("{not json", "[" * 100_000 + "]" * 100_000):  # too deep to parse
+        bad.write_text(text)
+        with pytest.raises(CatalogError, match="not valid JSON"):
+            load_catalog(bad)
 
 
 def test_profile_keyed_under_another_pair_rejected():
@@ -312,18 +331,19 @@ def two_model_catalog():
 
 def test_load_trace_well_formed(tmp_path, two_model_catalog):
     box = {"x_min": 0, "y_min": 0, "x_max": 5, "y_max": 5}
-    path = _write_trace(
-        tmp_path,
-        [
-            {"frame": 0, "detections": {"a": _det(0.5, 0.4, box), "b": _det(0.6, 0.5, box)}},
-            {"frame": 1, "detections": {"a": _det(0.5, 0.0)}},
-            {"frame": 2, "ground_truth": box, "detections": {"b": _det(0.9, 0.8, box)}},
-        ],
-    )
+    records = [
+        {"frame": 0, "detections": {"a": _det(0.5, 0.4, box), "b": _det(0.6, 0.5, box)}},
+        {"frame": 1, "detections": {"a": _det(0.5, 0.0)}},
+        {"frame": 2, "ground_truth": box, "detections": {"b": _det(0.9, 0.8, box)}},
+    ]
+    path = _write_trace(tmp_path, records)
     trace = load_trace(path, two_model_catalog)
     assert len(trace) == 3
     assert trace.models() == ("a", "b")
     assert trace.frames[2].ground_truth is not None
+    # The writer leaves out what the record left out: frame 1's detection
+    # box and ground truth are absent, not null.
+    assert [frame_to_dict(fr) for fr in trace.frames] == records
 
 
 def test_load_trace_unknown_model(tmp_path, two_model_catalog):
@@ -368,7 +388,9 @@ def test_load_trace_iou_without_box(tmp_path, two_model_catalog):
 
 def test_load_trace_bad_json(tmp_path, two_model_catalog):
     path = tmp_path / "t.ndjson"
-    for line in (b"not json", b'{"frame": 1, "x": "\xff"}'):  # the second is not UTF-8
+    deep = b'{"frame": 1, "x": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    # The second is not UTF-8, the third too deep to parse.
+    for line in (b"not json", b'{"frame": 1, "x": "\xff"}', deep):
         path.write_bytes(b'{"frame": 0}\n' + line + b"\n")
         with pytest.raises(TraceError, match="t.ndjson:2: invalid JSON"):
             load_trace(path, two_model_catalog)

@@ -180,7 +180,9 @@ def test_simulate_graph_with_bad_bucket_width_fails_before_writing(
         ["simulate", "--trace", trace_file, "--graph", str(pm_path), "--out", str(out)]
     )
     assert code == 1
-    assert "'bucket_width' 2.0 outside (0, 1]" in capsys.readouterr().err
+    assert f"error: {pm_path}: prediction map: 'bucket_width' 2.0 outside (0, 1]" in (
+        capsys.readouterr().err
+    )
     assert not out.exists()
 
 
@@ -331,7 +333,46 @@ def test_gen_trace_malformed_scenario_names_field(tmp_path, capsys):
     spec.write_text(json.dumps({"segments": [{"models": {"a": {}}}]}))
     code = main(["gen-trace", "--scenario", str(spec), "--out", str(tmp_path / "t.ndjson")])
     assert code != 0
-    assert "frames" in capsys.readouterr().err
+    assert f"error: {spec}: segments[0]: missing key 'frames'" in capsys.readouterr().err
+
+
+def test_simulate_bad_catalog_names_the_file(tmp_path, trace_file, capsys):
+    cat_path = tmp_path / "catalog.json"
+    save_catalog(builtin_catalog(), cat_path)
+    doc = json.loads(cat_path.read_text())
+    doc["profiles"][2]["avg_power_w"] = "x"
+    cat_path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--catalog", str(cat_path), "--trace", trace_file,
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {cat_path}: profiles[2]: avg_power_w: must be a number, got 'x'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--catalog", "--graph", "--trace", "--scenario", "--grid"])
+def test_too_deeply_nested_json_is_one_error_line(tmp_path, trace_file, option):
+    deep = tmp_path / "deep.json"
+    value = "[" * 100_000 + "]" * 100_000
+    # A trace holds the value on one of its lines.
+    deep.write_text(f'{{"frame": 0, "x": {value}}}\n' if option == "--trace" else value)
+    out = tmp_path / "out"
+    command = {"--scenario": ["gen-trace"], "--grid": ["sweep", "--trace", trace_file]}.get(
+        option, ["simulate"]
+    )
+    # A fresh interpreter, so a traceback would reach its stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(odsched.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "odsched.cli", *command, option, str(deep), "--out", str(out)],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    where = f"{deep}:1: invalid JSON" if option == "--trace" else f"{deep} is not valid JSON"
+    assert f"{where}: maximum recursion depth" in run.stderr
+    assert not out.exists()
 
 
 def test_env_var_overrides_default_catalog(tmp_path, trace_file, monkeypatch):

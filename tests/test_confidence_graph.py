@@ -625,8 +625,9 @@ def test_prediction_map_file_validation(tmp_path, demo_trace):
     doc = json.loads(path.read_text())
     doc["entries"] = doc["entries"][1:]  # orphan the first node
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="no entry"):
+    with pytest.raises(ValueError, match="no entry") as info:
         load_prediction_map(path)
+    assert str(info.value).startswith(f"{path}: ")
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="malformed"):
         load_prediction_map(path)

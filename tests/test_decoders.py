@@ -237,6 +237,13 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"^arcs\[0\]: unknown node \('ghost', 1\)$"),
         ("prediction map", ("entries", 0, "node"), ["ghost", 1],
          r"^entries\[0\]: unknown node \('ghost', 1\)$"),
+        # A model name is a JSON string; a number is not converted.
+        ("prediction map", ("nodes", 0, "model"), 5, r"^nodes\[0\]: model: must be a string, got 5$"),
+        ("prediction map", ("arcs", 0, "from", 0), 5, r"^arcs\[0\]: model: must be a string, got 5$"),
+        ("prediction map", ("entries", 0, "node", 0), ["a"],
+         r"^entries\[0\]: model: must be a string, got \['a'\]$"),
+        ("prediction map", ("entries", 0, "predictions", 0, "model"), 5,
+         r"^entries\[0\]: model: must be a string, got 5$"),
         # An entry predicts its own node's model, and each model once.
         ("prediction map", ("entries", 0, "predictions"),
          [p for p in _MAP["entries"][0]["predictions"] if p["model"] != "a"],
