@@ -192,9 +192,6 @@ class Catalog:
             raise CatalogError("energy_tolerance must be finite and > 0")
         _validate_catalog(self)
 
-    def is_compatible(self, model: ModelId, accelerator: AcceleratorId) -> bool:
-        return (model, accelerator) in self.compatibility
-
     def profiled_pairs(self) -> tuple[Pair, ...]:
         return tuple(sorted(self.profiles))
 

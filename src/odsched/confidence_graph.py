@@ -115,10 +115,18 @@ class PredictionMap:
         return tuple(sorted(idx for m, idx in self.nodes if m == model))
 
 
-def bucket_count(bucket_width: float) -> int:
-    if not (0.0 < bucket_width <= 1.0):
-        raise ValueError(f"bucket width {bucket_width} outside (0, 1]")
-    return math.ceil(round(1.0 / bucket_width, 9))
+def bucket_count(bucket_width: float, name: str = "bucket width") -> int:
+    """Number of buckets of `bucket_width` that cover [0, 1].
+
+    The one statement of the width rule: in (0, 1], and wide enough that
+    1 / width is finite.  `name` names the width in the error.
+    """
+    if not (0.0 < bucket_width <= 1.0):  # NaN fails too
+        raise ValueError(f"{name} {bucket_width} outside (0, 1]")
+    try:
+        return math.ceil(round(1.0 / bucket_width, 9))
+    except OverflowError:  # ceil of an infinite 1 / width
+        raise ValueError(f"{name} {bucket_width} too narrow: 1 / width overflows") from None
 
 
 def bucket_index(confidence: float, bucket_width: float) -> int:
@@ -432,8 +440,7 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
     where = "prediction map"
     try:
         width = json_float(doc, "bucket_width")
-        if not 0.0 < width <= 1.0:  # NaN fails too
-            raise ValueError(f"'bucket_width' {width} outside (0, 1]")
+        bucket_count(width, "'bucket_width'")  # checks the width rule
         threshold = json_float(doc, "distance_threshold")
         if not (math.isfinite(threshold) and threshold >= 0.0):
             raise ValueError(f"'distance_threshold' {threshold} must be finite and >= 0")

@@ -1,10 +1,12 @@
 """Dynamic model loader: per-accelerator memory with least-recently-requested
 eviction.
 
-Each accelerator manages its own memory independently.  Requesting a
-resident model is free and refreshes its recency; a miss evicts the least
-recently requested residents (oldest first) until the new model fits, then
-charges the profile's load time and energy.  Eviction itself is free.
+Each accelerator manages its own memory independently, built once from the
+catalog, which has already checked that each of its profiles fits.
+Requesting a resident model is free and refreshes its recency; a miss evicts
+the least recently requested residents (oldest first) until the new model
+fits, then charges the profile's load time and energy.  Eviction itself is
+free.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ class LoadOutcome:
 
 
 class AcceleratorMemory:
-    """Residency tracker for one accelerator."""
+    """Residency tracker for one accelerator of a catalog."""
 
-    def __init__(self, accelerator: AcceleratorId, capacity_bytes: int) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity_bytes}")
+    def __init__(self, accelerator: AcceleratorId, catalog: Catalog) -> None:
         self.accelerator = accelerator
-        self.capacity_bytes = capacity_bytes
+        self.capacity_bytes = catalog.accelerators[accelerator].memory_bytes
+        # model -> its profile here; the models this accelerator can load
+        self._profiles = {
+            p.model: p for p in catalog.profiles.values() if p.accelerator == accelerator
+        }
         # model -> memory_bytes; insertion order is recency (oldest first)
         self._resident: OrderedDict[ModelId, int] = OrderedDict()
         self.used_bytes = 0  # their sum, kept by every load and eviction
@@ -41,25 +45,19 @@ class AcceleratorMemory:
         """Resident models, least recently requested first."""
         return tuple(self._resident)
 
-    def request(self, model: ModelId, catalog: Catalog) -> LoadOutcome:
+    def request(self, model: ModelId) -> LoadOutcome:
         """Make `model` resident, evicting least-recently-requested models
         as needed, and report what it cost."""
-        if not catalog.is_compatible(model, self.accelerator):
+        if model in self._resident:
+            self._resident.move_to_end(model)
+            return LoadOutcome(kind="hit")
+        profile = self._profiles.get(model)
+        if profile is None:
             raise ValueError(
                 f"model {model!r} is not compatible with accelerator "
                 f"{self.accelerator!r}"
             )
-        if model in self._resident:
-            self._resident.move_to_end(model)
-            return LoadOutcome(kind="hit")
-
-        profile = catalog.profile(model, self.accelerator)
         size = profile.memory_bytes
-        if size > self.capacity_bytes:
-            raise ValueError(
-                f"model {model!r} ({size} B) exceeds {self.accelerator!r} "
-                f"capacity ({self.capacity_bytes} B)"
-            )
         evicted: list[ModelId] = []
         while self.used_bytes + size > self.capacity_bytes:
             victim, victim_size = self._resident.popitem(last=False)
@@ -74,7 +72,7 @@ class AcceleratorMemory:
             energy_cost_j=profile.load_energy_j,
         )
 
-    def prefill(self, catalog: Catalog, priority: Iterable[ModelId]) -> set[ModelId]:
+    def prefill(self, priority: Iterable[ModelId]) -> set[ModelId]:
         """Greedily load models in priority order while they fit; never evict.
 
         Models without a profile on this accelerator are skipped: the
@@ -82,12 +80,13 @@ class AcceleratorMemory:
         """
         loaded: set[ModelId] = set()
         for model in priority:
-            if (model, self.accelerator) not in catalog.profiles:
+            profile = self._profiles.get(model)
+            if profile is None:
                 continue
             if model in self._resident:
                 loaded.add(model)
                 continue
-            size = catalog.profile(model, self.accelerator).memory_bytes
+            size = profile.memory_bytes
             if self.used_bytes + size <= self.capacity_bytes:
                 self._resident[model] = size
                 self.used_bytes += size

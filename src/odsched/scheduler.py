@@ -31,12 +31,13 @@ that pass is tested against.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from .catalog import BoundingBox, Catalog, ModelId, Pair
-from .confidence_graph import Prediction, PredictionMap, predict
+from .confidence_graph import Prediction, PredictionMap, bucket_count, predict
 from .context import FrameStats, bbox_similarity, ncc_cached
 from .errors import json_float, json_int
 from .images import GrayscaleImage
@@ -75,12 +76,13 @@ class SchedulerConfig:
             )
         if self.momentum < 1:
             raise ValueError(f"momentum {self.momentum} must be >= 1")
+        if self.momentum > sys.maxsize:  # a deque's maxlen is a C ssize_t
+            raise ValueError(f"momentum {self.momentum} must be <= {sys.maxsize}")
         if not (math.isfinite(self.distance_threshold) and self.distance_threshold >= 0):
             raise ValueError(
                 f"distance_threshold {self.distance_threshold} must be finite and >= 0"
             )
-        if not (0.0 < self.bucket_width <= 1.0):
-            raise ValueError(f"bucket_width {self.bucket_width} outside (0, 1]")
+        bucket_count(self.bucket_width, "bucket_width")  # checks the width rule
 
     def params(self) -> dict[str, float | int]:
         """The seven scheduler parameters, knobs flattened, in sweep order."""

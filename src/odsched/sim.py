@@ -265,19 +265,30 @@ def _run(
 ) -> SimulationReport:
     if len(trace) == 0:
         raise ValueError("empty trace")
-    if not (math.isfinite(overhead_s) and overhead_s >= 0.0):
-        raise ValueError(f"scheduler overhead {overhead_s} must be finite and >= 0")
+    # Bound every frame's latency and load time, so that the report's sums
+    # over the trace stay finite; NaN and infinity fail too.
+    profiles = catalog.profiles.values()
+    frame_bound_s = (
+        overhead_s
+        + max((p.avg_latency_s for p in profiles), default=0.0)
+        + max((p.load_time_s for p in profiles), default=0.0)
+    )
+    if not (overhead_s >= 0.0 and math.isfinite(len(trace) * frame_bound_s)):
+        raise ValueError(
+            f"scheduler overhead {overhead_s} must be finite and >= 0, and "
+            f"{len(trace)} frames of it plus the catalog's largest avg_latency_s "
+            "and load_time_s must sum to a finite total"
+        )
     config = None
     charged_overhead_s = 0.0  # only the adaptive policy pays for deciding
     memories: dict[str, AcceleratorMemory] | None = None  # oracles preload all
     if policy.kind in ("shift", "single"):
         memories = {
-            name: AcceleratorMemory(name, acc.memory_bytes)
-            for name, acc in catalog.accelerators.items()
+            name: AcceleratorMemory(name, catalog) for name in catalog.accelerators
         }
         if prefill:
             for mem in memories.values():
-                mem.prefill(catalog, catalog.models)
+                mem.prefill(catalog.models)
     if policy.kind == "shift":
         config = policy.config if policy.config is not None else SchedulerConfig()
         charged_overhead_s = overhead_s
@@ -339,7 +350,7 @@ def _replay(
         profile = catalog.profile(*pair)
         load_time_s = load_energy_j = 0.0
         if memories is not None:
-            load = memories[pair[1]].request(pair[0], catalog)
+            load = memories[pair[1]].request(pair[0])
             load_time_s, load_energy_j = load.time_cost_s, load.energy_cost_j
         # A chosen model without trace coverage on this frame scores 0; it
         # penalizes scheduling uncharacterized models instead of erroring.

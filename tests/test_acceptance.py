@@ -202,11 +202,11 @@ def test_criterion_04_lru_laws():
         ],
         capacities={"gpu": capacity},
     )
-    mem = AcceleratorMemory("gpu", capacity)
+    mem = AcceleratorMemory("gpu", cat)
     recency: list[str] = []
     for _ in range(10_000):
         model = f"m{rng.integers(0, 8)}"
-        out = mem.request(model, cat)
+        out = mem.request(model)
         if model in recency:
             assert out.kind == "hit"
             assert out.time_cost_s == 0.0 and out.energy_cost_j == 0.0

@@ -186,6 +186,26 @@ def test_simulate_graph_with_bad_bucket_width_fails_before_writing(
     assert not out.exists()
 
 
+def test_simulate_graph_with_too_narrow_bucket_width_fails_before_writing(
+    tmp_path, trace_file, capsys
+):
+    pm_path = tmp_path / "pm.json"
+    assert main(["build-graph", "--trace", trace_file, "--out", str(pm_path)]) == 0
+    doc = json.loads(pm_path.read_text())
+    doc["bucket_width"] = 5e-324  # in (0, 1], but 1 / width overflows
+    pm_path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code = main(
+        ["simulate", "--trace", trace_file, "--graph", str(pm_path), "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {pm_path}: prediction map: 'bucket_width' 5e-324 too narrow: "
+        "1 / width overflows\n"
+    )
+    assert not out.exists()
+
+
 def test_simulate_graph_entry_without_its_own_model_fails_before_writing(
     tmp_path, trace_file, capsys
 ):
@@ -299,6 +319,14 @@ def test_sweep_scalar_grid_value_fails_cleanly(tmp_path, trace_file, capsys):
          "min_samples 100000 prunes every node"),
         (["build-graph", "--min-samples", "0"], None, "min_samples 0 must be >= 1"),
         (["build-graph", "--min-samples", "-3"], None, "min_samples -3 must be >= 1"),
+        # A value the run cannot hold: a deque length, 1 / width, a latency sum.
+        (["simulate", "--momentum", str(2**63)], None, f"momentum {2**63} must be <="),
+        (["sweep"], f'{{"momentum": [{2**63}]}}', f"momentum {2**63} must be <="),
+        (["simulate", "--bucket-width", "5e-324"], None, "bucket_width 5e-324 too narrow"),
+        (["build-graph", "--bucket-width", "5e-324"], None,
+         "bucket_width 5e-324 too narrow"),
+        (["sweep"], '{"bucket_width": [5e-324]}', "bucket_width 5e-324 too narrow"),
+        (["simulate", "--overhead", "1e308"], None, "scheduler overhead 1e+308"),
     ],
 )
 def test_non_finite_parameter_fails_naming_it(tmp_path, trace_file, capsys,
@@ -308,7 +336,8 @@ def test_non_finite_parameter_fails_naming_it(tmp_path, trace_file, capsys,
         (tmp_path / "grid.json").write_text(grid)
         command = [*command, "--grid", str(tmp_path / "grid.json")]
     assert main([*command, "--trace", trace_file, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
 
 

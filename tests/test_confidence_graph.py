@@ -14,6 +14,7 @@ from odsched.confidence_graph import (
     CoGraph,
     CostGraph,
     GraphNode,
+    bucket_count,
     bucket_for,
     bucket_index,
     build_cograph,
@@ -70,6 +71,12 @@ def test_bucket_width_validation():
         bucket_for("m", 0.5, 0.0)
     with pytest.raises(ValueError):
         bucket_for("m", 1.5, 0.1)
+
+
+def test_bucket_width_too_narrow_for_its_bucket_count():
+    assert bucket_count(1e-300) > 0  # 1 / width is large but finite
+    with pytest.raises(ValueError, match="^bucket width 5e-324 too narrow: 1 / width overflows$"):
+        bucket_count(5e-324)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +647,7 @@ def test_prediction_map_file_validation(tmp_path, demo_trace):
         ("bucket_width", 0.0),
         ("bucket_width", -0.1),
         ("bucket_width", float("nan")),
+        ("bucket_width", 5e-324),
         ("distance_threshold", -0.1),
         ("distance_threshold", float("nan")),
         ("distance_threshold", float("inf")),

@@ -11,7 +11,7 @@ from odsched.loader import AcceleratorMemory
 GB = 10**9
 
 
-def _catalog():
+def _catalog(gpu_capacity=2 * GB):
     return make_catalog(
         [
             make_profile("a", "gpu", 0.1, 10.0, memory=1 * GB, load_time=0.5, load_energy=2.0),
@@ -19,15 +19,15 @@ def _catalog():
             make_profile("c", "gpu", 0.1, 10.0, memory=int(1.5 * GB), load_time=0.8, load_energy=4.0),
             make_profile("d", "dla", 0.1, 10.0, memory=1 * GB, load_time=0.2, load_energy=1.0),
         ],
-        capacities={"gpu": 2 * GB, "dla": 2 * GB},
+        capacities={"gpu": gpu_capacity, "dla": 2 * GB},
     )
 
 
 def test_cold_load_without_eviction():
     cat = _catalog()
-    mem = AcceleratorMemory("gpu", 2 * GB)
-    mem.request("a", cat)
-    out = mem.request("b", cat)
+    mem = AcceleratorMemory("gpu", cat)
+    mem.request("a")
+    out = mem.request("b")
     assert out.kind == "cold_load"
     assert out.evicted == ()
     assert out.time_cost_s == 0.3 and out.energy_cost_j == 1.5
@@ -36,10 +36,10 @@ def test_cold_load_without_eviction():
 
 def test_multi_eviction_in_lru_order():
     cat = _catalog()
-    mem = AcceleratorMemory("gpu", 2 * GB)
-    mem.request("a", cat)
-    mem.request("b", cat)  # a is now older
-    out = mem.request("c", cat)  # 1.5 GB does not fit next to either
+    mem = AcceleratorMemory("gpu", cat)
+    mem.request("a")
+    mem.request("b")  # a is now older
+    out = mem.request("c")  # 1.5 GB does not fit next to either
     assert out.kind == "evict_load"
     assert out.evicted == ("a", "b")
     assert mem.resident == ("c",)
@@ -47,79 +47,24 @@ def test_multi_eviction_in_lru_order():
 
 def test_hit_is_free_and_refreshes_recency():
     cat = _catalog()
-    mem = AcceleratorMemory("gpu", 2 * GB)
-    mem.request("a", cat)
-    mem.request("b", cat)
-    hit = mem.request("a", cat)
+    mem = AcceleratorMemory("gpu", cat)
+    mem.request("a")
+    mem.request("b")
+    hit = mem.request("a")
     assert hit.kind == "hit" and hit.time_cost_s == 0.0 and hit.energy_cost_j == 0.0
     # b is now the least recently requested, so c evicts b first
-    out = mem.request("c", cat)
+    out = mem.request("c")
     assert out.evicted == ("b", "a")  # c needs both slots; b goes first
 
 
 def test_request_incompatible_pair():
     cat = _catalog()
-    mem = AcceleratorMemory("dla", 2 * GB)
+    mem = AcceleratorMemory("dla", cat)
     with pytest.raises(ValueError, match="not compatible"):
-        mem.request("a", cat)
+        mem.request("a")
 
 
-def test_request_larger_than_capacity():
-    cat = _catalog()
-    mem = AcceleratorMemory("gpu", 1 * GB)
-    with pytest.raises(ValueError, match="exceeds"):
-        mem.request("c", cat)
-
-
-@pytest.mark.parametrize("capacity", [0, -1])
-def test_capacity_must_be_positive(capacity):
-    with pytest.raises(ValueError, match=f"capacity must be > 0, got {capacity}"):
-        AcceleratorMemory("gpu", capacity)
-
-
-def test_is_resident_does_not_touch_recency():
-    cat = _catalog()
-    mem = AcceleratorMemory("gpu", 2 * GB)
-    mem.request("a", cat)
-    mem.request("b", cat)
-    assert "a" in mem.resident
-    assert "zzz" not in mem.resident
-    out = mem.request("c", cat)
-    assert out.evicted[0] == "a"  # the membership query did not refresh a
-
-
-def test_prefill_empty_priority():
-    mem = AcceleratorMemory("gpu", 2 * GB)
-    assert mem.prefill(_catalog(), []) == set()
-    assert mem.resident == ()
-
-
-def test_prefill_greedy_skips_what_does_not_fit():
-    cat = _catalog()
-    mem = AcceleratorMemory("gpu", 2 * GB)
-    # c = 1.5 GB loads; a and b (1 GB each) no longer fit and are skipped
-    assert mem.prefill(cat, ["c", "a", "b"]) == {"c"}
-    assert mem.resident == ("c",)
-    # with half a GB more, the 1 GB follow-ups still don't fit but a smaller
-    # capacity split shows the iff: 2.5 GB fits exactly one of them
-    mem2 = AcceleratorMemory("gpu", int(2.5 * GB))
-    assert mem2.prefill(cat, ["c", "a", "b"]) == {"c", "a"}
-    assert mem2.resident == ("c", "a")
-
-
-def test_prefill_loads_everything_when_capacity_allows():
-    cat = _catalog()
-    mem = AcceleratorMemory("gpu", 4 * GB)
-    assert mem.prefill(cat, ["a", "b", "c"]) == {"a", "b", "c"}
-
-
-def test_prefill_ignores_incompatible_models():
-    cat = _catalog()
-    mem = AcceleratorMemory("gpu", 4 * GB)
-    assert mem.prefill(cat, ["d", "a"]) == {"a"}
-
-
-def test_prefill_skips_unprofiled_compatible_models():
+def test_request_unprofiled_compatible_model():
     from odsched.catalog import Catalog
 
     base = _catalog()
@@ -129,16 +74,74 @@ def test_prefill_skips_unprofiled_compatible_models():
         compatibility=base.compatibility | {("d", "gpu")},  # compatible, no profile
         profiles=base.profiles,
     )
-    mem = AcceleratorMemory("gpu", 4 * GB)
-    assert mem.prefill(cat, ["d", "a"]) == {"a"}
+    mem = AcceleratorMemory("gpu", cat)
+    with pytest.raises(ValueError, match="model 'd' is not compatible with accelerator 'gpu'"):
+        mem.request("d")
+    assert mem.resident == () and mem.used_bytes == 0
+
+
+def test_is_resident_does_not_touch_recency():
+    cat = _catalog()
+    mem = AcceleratorMemory("gpu", cat)
+    mem.request("a")
+    mem.request("b")
+    assert "a" in mem.resident
+    assert "zzz" not in mem.resident
+    out = mem.request("c")
+    assert out.evicted[0] == "a"  # the membership query did not refresh a
+
+
+def test_prefill_empty_priority():
+    mem = AcceleratorMemory("gpu", _catalog())
+    assert mem.prefill([]) == set()
+    assert mem.resident == ()
+
+
+def test_prefill_greedy_skips_what_does_not_fit():
+    cat = _catalog()
+    mem = AcceleratorMemory("gpu", cat)
+    # c = 1.5 GB loads; a and b (1 GB each) no longer fit and are skipped
+    assert mem.prefill(["c", "a", "b"]) == {"c"}
+    assert mem.resident == ("c",)
+    # with half a GB more, the 1 GB follow-ups still don't fit but a smaller
+    # capacity split shows the iff: 2.5 GB fits exactly one of them
+    mem2 = AcceleratorMemory("gpu", _catalog(int(2.5 * GB)))
+    assert mem2.prefill(["c", "a", "b"]) == {"c", "a"}
+    assert mem2.resident == ("c", "a")
+
+
+def test_prefill_loads_everything_when_capacity_allows():
+    cat = _catalog(4 * GB)
+    mem = AcceleratorMemory("gpu", cat)
+    assert mem.prefill(["a", "b", "c"]) == {"a", "b", "c"}
+
+
+def test_prefill_ignores_incompatible_models():
+    cat = _catalog(4 * GB)
+    mem = AcceleratorMemory("gpu", cat)
+    assert mem.prefill(["d", "a"]) == {"a"}
+
+
+def test_prefill_skips_unprofiled_compatible_models():
+    from odsched.catalog import Catalog
+
+    base = _catalog(4 * GB)
+    cat = Catalog(
+        accelerators=base.accelerators,
+        models=base.models,
+        compatibility=base.compatibility | {("d", "gpu")},  # compatible, no profile
+        profiles=base.profiles,
+    )
+    mem = AcceleratorMemory("gpu", cat)
+    assert mem.prefill(["d", "a"]) == {"a"}
 
 
 def test_accelerator_isolation():
     cat = _catalog()
-    gpu = AcceleratorMemory("gpu", 2 * GB)
-    dla = AcceleratorMemory("dla", 2 * GB)
-    gpu.request("a", cat)
-    dla.request("d", cat)
+    gpu = AcceleratorMemory("gpu", cat)
+    dla = AcceleratorMemory("dla", cat)
+    gpu.request("a")
+    dla.request("d")
     assert gpu.resident == ("a",) and dla.resident == ("d",)
 
 
@@ -151,7 +154,7 @@ def test_randomized_lru_laws_against_reference_model(capacity):
         for m, s in sizes.items()
     ]
     cat = make_catalog(profiles, capacities={"gpu": capacity})
-    mem = AcceleratorMemory("gpu", capacity)
+    mem = AcceleratorMemory("gpu", cat)
 
     recency: list[str] = []  # oldest first, reference implementation
     # A prefill loads in priority order what fits, never evicting; the first
@@ -161,14 +164,14 @@ def test_randomized_lru_laws_against_reference_model(capacity):
     for model in priority:
         if model not in recency and sum(sizes[m] for m in recency) + sizes[model] <= capacity:
             recency.append(model)
-    assert mem.prefill(cat, priority) == set(recency)
+    assert mem.prefill(priority) == set(recency)
     assert mem.resident == tuple(recency)
     total_time = 0.0
     loads = 0
     for _ in range(3000):
         model = f"m{rng.integers(0, 6)}"
         expected_hit = model in recency
-        out = mem.request(model, cat)
+        out = mem.request(model)
         if expected_hit:
             assert out.kind == "hit" and out.time_cost_s == 0.0
             recency.remove(model)
@@ -210,7 +213,7 @@ def test_memory_matches_plain_list_lru(case):
          for m, size in sizes.items()],
         capacities={"gpu": capacity},
     )
-    mem = AcceleratorMemory("gpu", capacity)
+    mem = AcceleratorMemory("gpu", cat)
     # The reference: a list of residents, least recently requested first,
     # whose used bytes are always re-summed.
     recency: list[str] = []
@@ -221,11 +224,11 @@ def test_memory_matches_plain_list_lru(case):
     for model in priority:
         if model not in recency and used() + sizes[model] <= capacity:
             recency.append(model)
-    assert mem.prefill(cat, priority) == set(recency)
+    assert mem.prefill(priority) == set(recency)
     assert mem.resident == tuple(recency) and mem.used_bytes == used()
 
     for model in stream:
-        out = mem.request(model, cat)
+        out = mem.request(model)
         if model in recency:
             recency.remove(model)
             expected = ("hit", (), 0.0, 0.0)

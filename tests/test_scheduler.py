@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import replace
 
@@ -129,6 +130,17 @@ def test_config_validation():
     assert cfg.accuracy_threshold == 0.25
     assert cfg.distance_threshold == 0.5
     assert (cfg.knobs.w_accuracy, cfg.knobs.w_energy, cfg.knobs.w_latency) == (1.0, 0.5, 0.5)
+
+
+def test_config_rejects_values_the_run_cannot_hold():
+    # A deque's maxlen is a C ssize_t, and 1 / width must be finite.
+    SchedulerConfig(momentum=sys.maxsize)
+    with pytest.raises(ValueError, match=f"^momentum {2**63} must be <= {sys.maxsize}$"):
+        SchedulerConfig(momentum=2**63)
+    with pytest.raises(ValueError, match="^momentum 0 must be >= 1$"):
+        SchedulerConfig(momentum=0)
+    with pytest.raises(ValueError, match="^bucket_width 5e-324 too narrow: 1 / width overflows$"):
+        SchedulerConfig(bucket_width=5e-324)
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_shift_charges_overhead_as_time_only(builtin, demo_trace):
     assert loaded.avg_energy_j == base.avg_energy_j
 
 
-@pytest.mark.parametrize("overhead", [-0.001, float("nan"), float("inf")])
+@pytest.mark.parametrize("overhead", [-0.001, float("nan"), float("inf"), 1e308])
 def test_negative_or_non_finite_overhead_rejected(builtin, demo_trace, overhead):
     with pytest.raises(ValueError, match="overhead"):
         run(demo_trace, builtin, Policy.shift(), scheduler_overhead_s=overhead)
@@ -164,6 +164,40 @@ def test_shift_uncharacterized_choice_scores_zero():
     )
     rep = run(trace, cat, Policy.shift(SchedulerConfig(knobs=Knobs(1, 0, 0))))
     assert rep.frames == 10  # completed despite partial coverage
+
+
+def test_shift_load_charges_match_plain_list_lru_when_evicting():
+    # Five contexts, each favouring one model; the accelerator holds two of
+    # the three models, so the shift run evicts, choosing among residents.
+    good, poor = sim.ModelBehavior(0.9, 0.02, 0.8, 0.02), sim.ModelBehavior(0.1, 0.02, 0.1, 0.02)
+    segments = tuple(
+        sim.Segment(20, {m: good if m == best else poor for m in "abc"}, texture_seed=i)
+        for i, best in enumerate("abcab")
+    )
+    trace = gen_trace(sim.Scenario(segments, width=16, height=16), 1)
+    size, capacity = 10, 20
+    loads = {"a": (0.25, 1.0), "b": (0.5, 2.0), "c": (0.75, 3.0)}
+    cat = make_catalog(
+        [make_profile(m, "gpu", 0.1, 1.0, memory=size, load_time=t, load_energy=e)
+         for m, (t, e) in loads.items()],
+        capacities={"gpu": capacity},
+    )
+    rep = run(trace, cat, Policy.shift(SchedulerConfig(knobs=Knobs(1, 0, 0), momentum=3)))
+
+    recency: list[str] = []  # residents, least recently requested first
+    evictions = 0
+    for f in rep.per_frame:
+        if f.model in recency:
+            recency.remove(f.model)
+            expected = (0.0, 0.0)
+        else:
+            if size * (len(recency) + 1) > capacity:
+                recency.pop(0)  # the older of the two residents
+                evictions += 1
+            expected = loads[f.model]
+        recency.append(f.model)
+        assert (f.load_time_s, f.load_energy_j) == expected, f.frame_index
+    assert evictions >= 2
 
 
 # ---------------------------------------------------------------------------
