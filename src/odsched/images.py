@@ -3,8 +3,9 @@
 File formats are 8-bit, and a frame decoded from one (or made by
 ``sim.gen_trace``) keeps its pixels as ``uint8``: one byte per pixel, an
 eighth of a float64 copy.  An array of any other dtype is converted to float64
-and checked to lie in [0, 255].  Correlation math reads either dtype and
-accumulates in float64.
+and checked to lie in [0, 255].  Correlation math reads either dtype: two
+8-bit images are correlated from exact integer sums, any other pair in
+float64 (see ``context``).
 """
 
 from __future__ import annotations

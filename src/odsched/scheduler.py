@@ -260,8 +260,8 @@ class SchedulerState:
                 f"image dimensions differ: {prev.pixels.shape} vs {frame.pixels.shape}"
             )
         memo = self.memo
-        # Without a memo every frame is centred in its own call, so no call
-        # centres two frames; with one, a frame is centred only on a miss.
+        # Without a memo every frame's stats are built in its own call, so no
+        # call builds two frames' stats; with one, only on a miss.
         cur_stats = FrameStats(frame.pixels) if memo is None else None
         self._last_image, self._last_box, self._last_stats = frame, box, cur_stats
         if prev is None:

@@ -254,19 +254,15 @@ def run(
     )
 
 
-def _run(
-    trace: CharacterizationTrace,
-    catalog: Catalog,
-    policy: Policy,
-    overhead_s: float,
-    prediction_map: PredictionMap | None,
-    prefill: bool,
-    memo: dict[tuple, float] | None,
-) -> SimulationReport:
+def _check_overhead(
+    trace: CharacterizationTrace, catalog: Catalog, overhead_s: float
+) -> None:
+    """Reject an empty trace, and an overhead for which the report's sums
+    over the trace could not stay finite; `run` and `sweep` call this before
+    they build any graph."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    # Bound every frame's latency and load time, so that the report's sums
-    # over the trace stay finite; NaN and infinity fail too.
+    # Bound every frame's latency and load time; NaN and infinity fail too.
     profiles = catalog.profiles.values()
     frame_bound_s = (
         overhead_s
@@ -279,6 +275,18 @@ def _run(
             f"{len(trace)} frames of it plus the catalog's largest avg_latency_s "
             "and load_time_s must sum to a finite total"
         )
+
+
+def _run(
+    trace: CharacterizationTrace,
+    catalog: Catalog,
+    policy: Policy,
+    overhead_s: float,
+    prediction_map: PredictionMap | None,
+    prefill: bool,
+    memo: dict[tuple, float] | None,
+) -> SimulationReport:
+    _check_overhead(trace, catalog, overhead_s)
     config = None
     charged_overhead_s = 0.0  # only the adaptive policy pays for deciding
     memories: dict[str, AcceleratorMemory] | None = None  # oracles preload all
@@ -322,6 +330,15 @@ def _run(
         choose = lambda fr: fixed
     else:
         objective = policy.kind.removeprefix("oracle_")
+        # Every frame must offer a choice, checked before frame 0 replays.
+        profiled = {model for model, _ in catalog.profiles}
+        for fr in trace.frames:
+            if profiled.isdisjoint(fr.per_model):
+                observed = ", ".join(sorted(fr.per_model)) or "none"
+                raise ValidationError(
+                    f"frame {fr.frame_index}: no profiled pair among observed "
+                    f"models ({observed})"
+                )
         choose = lambda fr: oracle_choose(fr, catalog, objective)
     per_frame = _replay(trace, catalog, choose, charged_overhead_s, memories)
     agg = metrics(per_frame, catalog.gpu_accelerators())
@@ -416,6 +433,7 @@ def sweep(
     only as long as this call.
     """
     configs = expand_grid(grid)
+    _check_overhead(trace, catalog, scheduler_overhead_s)
     # Prediction maps depend only on (bucket_width, distance_threshold);
     # build each needed combination once, up front.
     maps: dict[tuple[float, float], PredictionMap] = {}

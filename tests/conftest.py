@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -76,6 +78,25 @@ def make_trace(rows: list[dict[str, tuple[float, float]]]) -> CharacterizationTr
         }
         frames.append(FrameRecord(frame_index=i, per_model=per_model))
     return CharacterizationTrace(frames=tuple(frames))
+
+
+def with_ghost(
+    catalog: Catalog, trace: CharacterizationTrace, first: int
+) -> tuple[Catalog, CharacterizationTrace]:
+    """`catalog` plus a model `ghost` that is compatible with gpu but has no
+    profile, and `trace` with frames from `first` on observing only ghost."""
+    ghost = {"ghost": DetectionOutcome(confidence=0.9, iou=0.8, box=BoundingBox(0, 0, 10, 10))}
+    frames = tuple(
+        fr if i < first else replace(fr, per_model=ghost) for i, fr in enumerate(trace.frames)
+    )
+    return (
+        replace(
+            catalog,
+            models=(*catalog.models, "ghost"),
+            compatibility=catalog.compatibility | {("ghost", "gpu")},
+        ),
+        CharacterizationTrace(frames=frames),
+    )
 
 
 def brute_force_neighborhood(

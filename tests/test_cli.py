@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import odsched
+from conftest import with_ghost
 from odsched.catalog import builtin_catalog, load_trace, save_catalog, save_trace
 from odsched.cli import build_parser, main
 from odsched.sim import demo_scenario, gen_trace
@@ -401,6 +402,21 @@ def test_too_deeply_nested_json_is_one_error_line(tmp_path, trace_file, option):
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     where = f"{deep}:1: invalid JSON" if option == "--trace" else f"{deep} is not valid JSON"
     assert f"{where}: maximum recursion depth" in run.stderr
+    assert not out.exists()
+
+
+def test_oracle_on_a_frame_without_a_profiled_model_fails_before_writing(tmp_path, capsys):
+    catalog, trace = with_ghost(builtin_catalog(), gen_trace(demo_scenario(), 0), 150)
+    save_catalog(catalog, tmp_path / "catalog.json")
+    save_trace(trace, tmp_path / "trace.ndjson")
+    out = tmp_path / "r.json"
+    code = main(["simulate", "--catalog", str(tmp_path / "catalog.json"),
+                 "--trace", str(tmp_path / "trace.ndjson"), "--policy", "oracle-e",
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: frame 150: no profiled pair among observed models (ghost)\n"
+    )
     assert not out.exists()
 
 

@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odsched
 from odsched.catalog import BoundingBox
 from odsched.context import (
     FrameStats,
+    _crop,
     _resample_nearest,
     bbox_similarity,
     ncc,
@@ -90,8 +99,43 @@ def test_cached_path_matches_plain():
         assert ncc_cached(FrameStats(a.pixels), FrameStats(b.pixels)) == ncc(a, b)
 
 
-def test_uint8_frames_match_float64_copies(demo_trace):
-    # Byte frames are summed and centred in float64, exactly like their copies.
+def _exact_ncc_terms(p: np.ndarray, c: np.ndarray) -> tuple[int, int, int, int]:
+    """n, sum(p), n sum(pc) - sum(p) sum(c) and the product of the two
+    n sum(x^2) - sum(x)^2, from int64 sums (exact for 8-bit pixels)."""
+    x, y = (a.astype(np.int64).ravel() for a in (p, c))
+    n, sx, sy = x.size, int(x.sum()), int(y.sum())
+    spreads = (n * int(x @ x) - sx * sx) * (n * int(y @ y) - sy * sy)
+    return n, sx, n * int(x @ y) - sx * sy, spreads
+
+
+def _at_least(cov: int, spreads: int, q: Fraction) -> bool:
+    """Whether cov / sqrt(spreads) >= q, compared exactly through squares."""
+    if cov >= 0:
+        return q <= 0 or cov * cov >= q * q * spreads
+    return q <= 0 and cov * cov <= q * q * spreads
+
+
+def _is_correctly_rounded_ncc(r: float, p: np.ndarray, c: np.ndarray) -> bool:
+    """Whether `r` is the float nearest the exact NCC of 8-bit arrays p and c:
+    the exact value lies between the midpoints from r to its neighbours."""
+    _, _, cov, spreads = _exact_ncc_terms(p, c)
+    if spreads == 0:  # a constant image: 1 against an equal constant, else 0
+        return r == (1.0 if p.min() == p.max() and np.array_equal(p, c) else 0.0)
+    lo = (Fraction(r) + Fraction(math.nextafter(r, -2.0))) / 2
+    hi = (Fraction(r) + Fraction(math.nextafter(r, 2.0))) / 2
+    return _at_least(cov, spreads, lo) and not _at_least(cov, spreads, hi)
+
+
+def _float_ncc(p: np.ndarray, c: np.ndarray) -> float:
+    """The float64 formula: centre each copy on its mean, then correlate."""
+    a, b = (x.astype(np.float64).ravel() for x in (p, c))
+    a, b = a - a.mean(), b - b.mean()
+    return min(1.0, max(-1.0, float((a @ b) / np.sqrt((a @ a) * (b @ b)))))
+
+
+def test_uint8_ncc_is_the_correctly_rounded_exact_value(demo_trace):
+    # 8-bit frames and box patches take the exact integer-sum path; float64
+    # copies take the centred float path, which lands within 1e-12 of it.
     frames = [fr.frame for fr in demo_trace.frames[140:160]]
     rng = np.random.default_rng(9)
     frames += [GrayscaleImage(rng.integers(0, 256, size=(64, 64), dtype=np.uint8))
@@ -102,19 +146,51 @@ def test_uint8_frames_match_float64_copies(demo_trace):
     boxes = [BoundingBox(3.5, 2.25, 40.0, 33.7), BoundingBox(10.0, 12.0, 64.0, 30.5)]
     for i in range(1, len(frames)):
         p, c, pw, cw = frames[i - 1], frames[i], wide[i - 1], wide[i]
-        assert ncc(p, c) == ncc(pw, cw)
-        assert ncc_cached(FrameStats(p.pixels), FrameStats(c.pixels)) == ncc(pw, cw)
+        r = ncc(p, c)
+        assert _is_correctly_rounded_ncc(r, p.pixels, c.pixels)
+        assert abs(r - ncc(pw, cw)) <= 1e-12
+        assert ncc_cached(FrameStats(p.pixels), FrameStats(c.pixels)) == r
         for a in boxes:
             for b in boxes:
-                assert bbox_similarity(p, a, c, b) == bbox_similarity(pw, a, cw, b)
+                r = bbox_similarity(p, a, c, b)
+                patches = (_resample_nearest(_crop(p, a)), _resample_nearest(_crop(c, b)))
+                assert _is_correctly_rounded_ncc(r, *patches)
+                assert abs(r - bbox_similarity(pw, a, cw, b)) <= 1e-12
+
+
+def test_uint8_self_correlation_and_constant_rules_are_exact():
+    rng = np.random.default_rng(17)
+    for shape in ((1, 2), (4, 4), (17, 3), (64, 64), (130, 130), (240, 320)):
+        img = GrayscaleImage(rng.integers(0, 256, size=shape, dtype=np.uint8))
+        assert ncc(img, img) == 1.0
+        assert ncc(img, GrayscaleImage(255 - img.pixels)) == -1.0
+        flat = GrayscaleImage(np.full(shape, 7, dtype=np.uint8))
+        assert ncc(flat, GrayscaleImage(np.full(shape, 7, dtype=np.uint8))) == 1.0
+        assert ncc(flat, GrayscaleImage(np.full(shape, 8, dtype=np.uint8))) == 0.0
+        assert ncc(flat, img) == ncc(img, flat) == 0.0
+
+
+def test_mixed_pair_takes_the_float64_path(demo_trace):
+    # An 8-bit image against a float64 one is centred and correlated in
+    # float64, bit for bit as if both were float64.
+    frames = [fr.frame.pixels for fr in demo_trace.frames[145:155]]
+    for p, c in zip(frames, frames[1:]):
+        pw, cw = p.astype(np.float64), c.astype(np.float64)
+        float_path = ncc_cached(FrameStats(pw), FrameStats(cw))
+        assert float_path == _float_ncc(p, c)
+        assert ncc_cached(FrameStats(p), FrameStats(cw)) == float_path
+        assert ncc_cached(FrameStats(pw), FrameStats(c)) == float_path
+    flat = np.full((64, 64), 7, dtype=np.uint8)
+    assert ncc_cached(FrameStats(flat), FrameStats(flat.astype(np.float64))) == 1.0
+    assert ncc_cached(FrameStats(flat), FrameStats(np.full((64, 64), 8.0))) == 0.0
+    assert ncc_cached(FrameStats(flat), FrameStats(frames[0].astype(np.float64))) == 0.0
 
 
 @st.composite
-def _pixel_arrays(draw) -> np.ndarray:
-    """uint8 or float64 pixels in [0, 255], 1x1 to 300x300, constant or not,
-    as a C-order, Fortran-order or strided array."""
+def _pixel_arrays(draw, dtype) -> np.ndarray:
+    """`dtype` pixels in [0, 255], 1x1 to 300x300, constant or not, as a
+    C-order, Fortran-order or strided array."""
     h, w = draw(st.integers(1, 300)), draw(st.integers(1, 300))
-    dtype = draw(st.sampled_from([np.uint8, np.float64]))
     layout = draw(st.sampled_from(["C", "F", "strided"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base_shape = (2 * h + 1, 3 * w) if layout == "strided" else (h, w)
@@ -131,20 +207,69 @@ def _pixel_arrays(draw) -> np.ndarray:
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(_pixel_arrays())
+@given(_pixel_arrays(np.float64))
 def test_frame_stats_match_mean_then_subtract(pixels):
-    # The plain formula FrameStats replaces; every field must agree bit for bit.
+    # The plain formula the float64 path follows; every field agrees bit for bit.
     before = pixels.copy()
     flat = pixels.ravel()
     mean = flat.mean()
     centered = flat - mean
     stats = FrameStats(pixels)
     assert stats.mean == mean
-    assert stats.centered.dtype == np.float64
-    assert np.array_equal(stats.centered, centered)
+    assert stats.values.dtype == np.float64
+    assert np.array_equal(stats.values, centered)
     assert stats.var == float(centered @ centered)
+    assert stats.total is None and stats.spread is None
     assert stats.shape == pixels.shape
     assert np.array_equal(pixels, before)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_pixel_arrays(np.uint8))
+def test_uint8_frame_stats_hold_exact_integer_sums(pixels):
+    # The sums are exact at every size, layout and value.
+    before = pixels.copy()
+    n, total, spread, _ = _exact_ncc_terms(pixels, pixels)
+    stats = FrameStats(pixels)
+    assert type(stats.total) is int and type(stats.spread) is int
+    assert (stats.total, stats.spread) == (total, spread)
+    assert np.array_equal(stats.values, pixels.astype(np.float64).ravel())
+    assert stats.values.size == n and stats.shape == pixels.shape
+    assert stats.mean is None and stats.var is None
+    assert np.array_equal(pixels, before)
+
+
+_NCC_BITS_CHILD = """
+import numpy as np
+from odsched.context import bbox_similarity, ncc
+from odsched.sim import ModelBehavior, Scenario, Segment, gen_trace
+
+behavior = {"m": ModelBehavior(0.8, 0.05, 0.7, 0.05)}
+scenario = Scenario((Segment(6, behavior), Segment(6, behavior)), width=320, height=240)
+frames = gen_trace(scenario, 5).frames
+assert all(fr.frame.pixels.dtype == np.uint8 for fr in frames)
+for p, c in zip(frames, frames[1:]):
+    print(ncc(p.frame, c.frame).hex(),
+          bbox_similarity(p.frame, p.ground_truth, c.frame, c.ground_truth).hex())
+"""
+
+
+def test_uint8_ncc_bits_do_not_depend_on_the_blas_thread_count():
+    # Two fresh interpreters, one on a single OpenBLAS thread and one on the
+    # library's default; each prints the frame and box NCCs of 320x240
+    # generated frames as float.hex().
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(odsched.__file__).parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _NCC_BITS_CHILD], env=child_env,
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for child_env in (dict(env, OPENBLAS_NUM_THREADS="1"), env)
+    ]
+    assert len(outputs[0].splitlines()) == 11
+    assert outputs[0] == outputs[1]
 
 
 def test_resample_indices_match_clamped_formula():

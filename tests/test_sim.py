@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from conftest import make_catalog, make_profile, make_trace
+from conftest import make_catalog, make_profile, make_trace, with_ghost
 from odsched import scheduler, sim
 from odsched.catalog import (
     BoundingBox,
@@ -153,6 +153,38 @@ def test_negative_or_non_finite_overhead_rejected(builtin, demo_trace, overhead)
         sweep(demo_trace, builtin, {"momentum": [30]}, scheduler_overhead_s=overhead)
 
 
+def test_sweep_checks_the_overhead_before_any_graph_build(builtin, demo_trace, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a graph was built before the overhead was checked")
+
+    monkeypatch.setattr(sim, "build_prediction_map", no_build)
+    grid = {"bucket_width": [0.05, 0.1], "distance_threshold": [0.5, 1.0]}
+    with pytest.raises(ValueError, match=r"^scheduler overhead -1.0 must be finite"):
+        sweep(demo_trace, builtin, grid, scheduler_overhead_s=-1.0)
+    with pytest.raises(ValueError, match="^empty trace$"):
+        sweep(CharacterizationTrace(frames=()), builtin, grid)
+
+
+def test_oracle_checks_every_frame_before_frame_zero(builtin, demo_trace, monkeypatch):
+    catalog, trace = with_ghost(builtin, demo_trace, 150)
+    silent = CharacterizationTrace(frames=(demo_trace.frames[0], FrameRecord(7, {})))
+    started = []
+    real_replay = sim._replay
+    monkeypatch.setattr(sim, "_replay", lambda *args: started.append(1) or real_replay(*args))
+    for objective in ("energy", "accuracy", "latency"):
+        with pytest.raises(
+            ValidationError, match=r"^frame 150: no profiled pair among observed models \(ghost\)$"
+        ):
+            run(trace, catalog, Policy.oracle(objective))
+        with pytest.raises(ValidationError, match=r"^frame 7: .* models \(none\)$"):
+            run(silent, catalog, Policy.oracle(objective))
+    assert not started
+    # The adaptive and fixed policies replay the same input to the end,
+    # scoring 0 where their model was not observed.
+    for policy in (Policy.shift(), Policy.single("yolov7", "gpu")):
+        assert run(trace, catalog, policy).frames == len(trace)
+
+
 def test_shift_uncharacterized_choice_scores_zero():
     # model b is characterized only at the start; when the scheduler keeps
     # choosing it later (no context to trigger otherwise), missing frames
@@ -261,7 +293,7 @@ def test_oracle_unknown_objective_rejected(builtin):
     "policy, message",
     [
         (Policy.shift(), r"^no profiled \(model, accelerator\) pair among predictions$"),
-        (Policy.oracle("energy"), r"^frame 0: no profiled pair among observed models$"),
+        (Policy.oracle("energy"), r"^frame 0: no profiled pair among observed models \(ghost\)$"),
     ],
     ids=["shift", "oracle"],
 )
