@@ -34,7 +34,8 @@ Trace: newline-delimited JSON, one record per frame::
 `ground_truth`, `frame_image`, and a detection's `box` are all optional.
 A `frame_image` string is a PGM (P5) path resolved relative to the trace
 file's directory.  Every frame has the first frame's size, and the boxes
-of a record with a frame lie inside it.
+of a record with a frame lie inside it; a trace built in code is held to
+the same rule when it is constructed, naming the frame index.
 """
 
 from __future__ import annotations
@@ -368,6 +369,42 @@ class FrameRecord:
             raise ValueError(f"frame index {self.frame_index} must be >= 0")
 
 
+def _check_geometry(
+    size: tuple[int, int] | None,
+    image: GrayscaleImage | None,
+    ground_truth: BoundingBox | None,
+    per_model: Mapping[ModelId, DetectionOutcome],
+) -> tuple[int, int] | None:
+    """The trace's frame size after one record: `size`, the first frame's,
+    or `image`'s when this is the first frame.  A record with a frame must
+    have that size, and its ground-truth and detection boxes must lie inside
+    it; otherwise ValueError explains which."""
+    if image is None:
+        return size
+    height, width = image.pixels.shape
+    if size is None:
+        size = (width, height)
+    elif (width, height) != size:
+        raise ValueError(
+            f"frame is {width}x{height}, but the first frame is {size[0]}x{size[1]}"
+        )
+    box = ground_truth
+    if box is not None and (box.x_max > width or box.y_max > height):
+        raise _outside("ground_truth", box, size)
+    for model, outcome in per_model.items():
+        box = outcome.box
+        if box is not None and (box.x_max > width or box.y_max > height):
+            raise _outside(f"detections.{model}.box", box, size)
+    return size
+
+
+def _outside(name: str, box: BoundingBox, size: tuple[int, int]) -> ValueError:
+    return ValueError(
+        f"'{name}' ({box.x_min}, {box.y_min}, {box.x_max}, {box.y_max}) "
+        f"outside {size[0]}x{size[1]} frame"
+    )
+
+
 @dataclass(frozen=True)
 class CharacterizationTrace:
     frames: tuple[FrameRecord, ...]
@@ -376,6 +413,12 @@ class CharacterizationTrace:
         indices = [fr.frame_index for fr in self.frames]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ValueError("trace frame indices must be strictly increasing")
+        size = None
+        for fr in self.frames:
+            try:
+                size = _check_geometry(size, fr.frame, fr.ground_truth, fr.per_model)
+            except ValueError as exc:
+                raise TraceError(f"frame {fr.frame_index}: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -459,23 +502,10 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
             except (*DECODE_ERRORS, OSError) as exc:  # OSError: an unreadable PGM
                 raise decode_error(TraceError, f"{where}: {field}", exc) from None
             last_index = index
-
-            if image is not None:
-                size = size or (image.width, image.height)
-                if (image.width, image.height) != size:
-                    raise TraceError(
-                        f"{where}: frame is {image.width}x{image.height}, "
-                        f"but the first frame is {size[0]}x{size[1]}"
-                    )
-                boxes = {"ground_truth": gt}
-                boxes.update((f"detections.{m}.box", d.box) for m, d in detections.items())
-                for name, box in boxes.items():
-                    if box is not None and (box.x_max > size[0] or box.y_max > size[1]):
-                        raise TraceError(
-                            f"{where}: '{name}' ({box.x_min}, {box.y_min}, {box.x_max}, "
-                            f"{box.y_max}) outside {size[0]}x{size[1]} frame"
-                        )
-
+            try:
+                size = _check_geometry(size, image, gt, detections)
+            except ValueError as exc:
+                raise TraceError(f"{where}: {exc}") from None
             frames.append(FrameRecord(index, detections, gt, image))
     return CharacterizationTrace(frames=tuple(frames))
 

@@ -22,7 +22,7 @@ from .confidence_graph import (
     load_prediction_map,
     save_prediction_map,
 )
-from .errors import ValidationError, read_json, write_json
+from .errors import ValidationError, load_json, write_json
 from .scheduler import SchedulerConfig
 
 CATALOG_ENV = "ODSCHED_CATALOG"
@@ -107,10 +107,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_from_dict(doc: dict) -> dict:
+    """`doc`, once `sim.expand_grid` accepts it as a sweep grid."""
+    try:
+        sim.expand_grid(doc)
+    except (OverflowError, ValueError) as exc:  # OverflowError: float() of a huge int
+        raise ValidationError(str(exc)) from None
+    return doc
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    # The grid is read first, so a bad one fails before the trace is read.
+    grid = load_json(args.grid, "grid", ValidationError, _grid_from_dict)
     catalog = _resolve_catalog(args.catalog)
     trace = _resolve_trace(args.trace, catalog)
-    grid = read_json(args.grid, "grid", ValidationError)
     results = sim.sweep(trace, catalog, grid, scheduler_overhead_s=args.overhead)
     sim.write_sweep_csv(results, args.out)
     summary = sim.sweep_correlations(results)

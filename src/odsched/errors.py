@@ -13,10 +13,11 @@ same function: `json_float` returns a JSON float at once and sends every
 other value through the full number check.  A failing value therefore gets
 the same error, with the same message, as it would without the fast test.
 
-Every whole-file JSON input is parsed by `read_json`, which reports an
-unreadable or unparsable file (nesting too deep for the parser included) as
-the caller's `ValidationError` subclass; `load_json` also decodes it, and
-puts the file's path in front of a decoder's error.
+Every whole-file JSON input (a catalog, scenario, prediction map or sweep
+grid) is read by `load_json`, which reports an unreadable or unparsable
+file (nesting too deep for the parser included) as the caller's
+`ValidationError` subclass, decodes the document, and puts the file's path
+in front of a decoder's error.
 Every whole-file JSON output is written by `write_json` in one format:
 sorted keys, two-space indent, no NaN or infinity, a trailing newline.
 Traces are NDJSON and keep their per-line reader and writer in `catalog`.
@@ -112,27 +113,23 @@ def _json_number(doc: Mapping[str, Any], key: str) -> int | float:
     return value
 
 
-def read_json(path: str | Path, what: str, error: type[ValidationError]) -> Any:
-    """Parse the JSON document at `path`; `what` names it in an `error`."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise error(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        return json.loads(data.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
-        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
 def load_json(
     path: str | Path,
     what: str,
     error: type[ValidationError],
     decode: Callable[[Any], _T],
 ) -> _T:
-    """`decode` of the JSON document at `path`; an error it raises is raised
-    again with `path` in front."""
-    doc = read_json(path, what, error)
+    """`decode` of the JSON document at `path`.  `what` names the document
+    in an `error` when it cannot be read or parsed, and an error `decode`
+    raises is raised again with `path` in front."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
     try:
         return decode(doc)
     except ValidationError as exc:

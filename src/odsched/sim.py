@@ -16,7 +16,9 @@ Policies:
   clairvoyant per-frame baselines choosing among the profiled pairs of
   models whose recorded IoU clears 0.5 (of all observed models when none
   do).  Oracles assume everything is preloaded and pay no load or
-  scheduling cost.
+  scheduling cost, and pick every frame's pair before frame 0 replays.
+
+No input is rejected once the first frame has replayed.
 """
 
 from __future__ import annotations
@@ -218,16 +220,16 @@ def oracle_choose(frame: FrameRecord, catalog: Catalog, objective: str) -> Pair:
     with an outcome, preferring those whose recorded IoU is >= 0.5.
 
     When no such pair qualifies, every one is a candidate and the objective
-    alone decides.
+    alone decides.  A frame with no profiled pair among its observed models,
+    an empty frame included, offers no choice and fails naming them.
     """
     if f"oracle_{objective}" not in _POLICY_NAMES:
         raise ValueError(f"unknown oracle objective {objective!r}")
-    if not frame.per_model:
-        raise ValueError(f"frame {frame.frame_index} has no model outcomes")
     pairs = [p for p in catalog.profiles if p[0] in frame.per_model]
     if not pairs:
-        raise ValueError(
-            f"frame {frame.frame_index}: no profiled pair among observed models"
+        observed = ", ".join(sorted(frame.per_model)) or "none"
+        raise ValidationError(
+            f"frame {frame.frame_index}: no profiled pair among observed models ({observed})"
         )
     pairs = [p for p in pairs if frame.per_model[p[0]].iou >= SUCCESS_IOU] or pairs
     if objective == "energy":
@@ -330,16 +332,10 @@ def _run(
         choose = lambda fr: fixed
     else:
         objective = policy.kind.removeprefix("oracle_")
-        # Every frame must offer a choice, checked before frame 0 replays.
-        profiled = {model for model, _ in catalog.profiles}
-        for fr in trace.frames:
-            if profiled.isdisjoint(fr.per_model):
-                observed = ", ".join(sorted(fr.per_model)) or "none"
-                raise ValidationError(
-                    f"frame {fr.frame_index}: no profiled pair among observed "
-                    f"models ({observed})"
-                )
-        choose = lambda fr: oracle_choose(fr, catalog, objective)
+        # Every frame's pair is chosen before frame 0 replays, so a frame
+        # that offers no choice fails first.
+        chosen = {fr.frame_index: oracle_choose(fr, catalog, objective) for fr in trace.frames}
+        choose = lambda fr: chosen[fr.frame_index]
     per_frame = _replay(trace, catalog, choose, charged_overhead_s, memories)
     agg = metrics(per_frame, catalog.gpu_accelerators())
     return SimulationReport(

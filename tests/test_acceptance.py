@@ -21,7 +21,12 @@ from conftest import (
 )
 from odsched.catalog import BoundingBox, builtin_catalog
 from odsched.cli import main as cli_main
-from odsched.confidence_graph import EPSILON, build_prediction_map, neighborhood
+from odsched.confidence_graph import (
+    EPSILON,
+    _neighborhoods,
+    build_prediction_map,
+    neighborhood,
+)
 from odsched.context import ncc
 from odsched.images import GrayscaleImage
 from odsched.loader import AcceleratorMemory
@@ -96,10 +101,12 @@ def test_criterion_02_graph_oracle_equivalence():
         cg = random_cost_graph(rng)
         assert len(cg.nodes) <= 8
         threshold = float(rng.choice([0.0, 0.25, 0.5, 0.75]))
+        built = _neighborhoods(cg, threshold)  # what build_prediction_map runs
         for start_key in cg.nodes:
             fast = neighborhood(cg, start_key, threshold)
             brute = brute_force_neighborhood(cg, start_key, threshold)
             assert fast == brute  # distances match exactly
+            assert built[start_key] == brute
             checked_nodes += 1
 
             # consolidation against direct evaluation of the formula
@@ -125,7 +132,7 @@ def test_criterion_02_graph_oracle_equivalence():
 
 @criterion(3)
 def test_criterion_03_scheduling_conformance():
-    from test_scheduler import _two_model_setup  # hand fixtures live there
+    from test_scheduler import _two_model_setup, make_pm  # hand fixtures live there
 
     # early-exit branch: s*c over threshold keeps the pair untouched
     _, _, state = _two_model_setup()
@@ -153,7 +160,16 @@ def test_criterion_03_scheduling_conformance():
     assert d.scores[("b", "gpu")] == pytest.approx(0.5)
     assert d.pair == ("a", "cpu")  # lexicographic tie-break among a's pairs
 
-    # randomized: knob-axis dominance and argmax scale-invariance
+    # randomized: knob-axis dominance and argmax scale-invariance, through
+    # the reference functions and through schedule()'s full pass, whose map
+    # predicts the random averages.  Momentum 1 keeps them as they are, and
+    # no average reaches threshold 1, so every model is valid (the fallback)
+    # and a frame-less call cannot keep its pair.
+    def full_pass(cat, averages, knobs):
+        config = SchedulerConfig(knobs=knobs, accuracy_threshold=1.0, momentum=1)
+        state = SchedulerState(cat, make_pm(averages), config)
+        return schedule(state, (min(averages), "gpu"), 0.0).pair
+
     rng = np.random.default_rng(99)
     for _ in range(1000):
         n_models = int(rng.integers(2, 5))
@@ -186,7 +202,17 @@ def test_criterion_03_scheduling_conformance():
         assert costs.latency_score[chosen] == max(costs.latency_score.values())
         chosen = best_pair(score_candidates(averages, valid, costs, Knobs(1, 0, 0)))
         assert averages[chosen[0]] == max(averages.values())
-    _passed(3, "4 branch fixtures + 1000 randomized states")
+
+        reference = best_pair(score_candidates(averages, valid, costs, knobs))
+        assert full_pass(cat, averages, knobs) == reference
+        assert full_pass(cat, averages, scaled) == reference
+        chosen = full_pass(cat, averages, Knobs(0, 1, 0))
+        assert costs.energy_score[chosen] == max(costs.energy_score.values())
+        chosen = full_pass(cat, averages, Knobs(0, 0, 1))
+        assert costs.latency_score[chosen] == max(costs.latency_score.values())
+        chosen = full_pass(cat, averages, Knobs(1, 0, 0))
+        assert averages[chosen[0]] == max(averages.values())
+    _passed(3, "4 branch fixtures + 1000 randomized states, reference and full pass")
 
 
 @criterion(4)

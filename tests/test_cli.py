@@ -302,9 +302,27 @@ def test_sweep_scalar_grid_value_fails_cleanly(tmp_path, trace_file, capsys):
     code = main(["sweep", "--trace", trace_file, "--grid", str(grid), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: sweep parameter 'w_latency' must be a list, got 0.5\n"
+        f"error: {grid}: sweep parameter 'w_latency' must be a list, got 0.5\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ('{"warp_factor": [1]}', "unknown sweep parameters: warp_factor"),
+        # An integer beyond the float range is an error, not a traceback.
+        (f'{{"w_latency": [1{"0" * 400}]}}', "int too large to convert to float"),
+    ],
+)
+def test_sweep_grid_is_decoded_before_the_catalog_and_trace(tmp_path, capsys, grid, message):
+    path = tmp_path / "grid.json"
+    path.write_text(grid)
+    missing = str(tmp_path / "missing")
+    code = main(["sweep", "--catalog", missing, "--trace", missing, "--grid", str(path),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -336,6 +354,7 @@ def test_non_finite_parameter_fails_naming_it(tmp_path, trace_file, capsys,
     if grid is not None:
         (tmp_path / "grid.json").write_text(grid)
         command = [*command, "--grid", str(tmp_path / "grid.json")]
+        message = f"{tmp_path / 'grid.json'}: {message}"
     assert main([*command, "--trace", trace_file, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1

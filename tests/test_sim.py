@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_catalog, make_profile, make_trace, with_ghost
 from odsched import scheduler, sim
@@ -14,10 +18,11 @@ from odsched.catalog import (
     CharacterizationTrace,
     DetectionOutcome,
     FrameRecord,
+    builtin_catalog,
     frame_to_dict,
 )
 from odsched.context import ncc
-from odsched.errors import ScenarioError, ValidationError
+from odsched.errors import ScenarioError, TraceError, ValidationError
 from odsched.images import GrayscaleImage
 from odsched.scheduler import Knobs, SchedulerConfig
 from odsched.sim import (
@@ -185,6 +190,107 @@ def test_oracle_checks_every_frame_before_frame_zero(builtin, demo_trace, monkey
         assert run(trace, catalog, policy).frames == len(trace)
 
 
+def _with_frame_200(trace, **changes) -> tuple[FrameRecord, ...]:
+    frames = list(trace.frames)
+    frames[200] = replace(frames[200], **changes)
+    return tuple(frames)
+
+
+def test_trace_geometry_is_checked_when_the_trace_is_built(builtin, demo_trace, monkeypatch):
+    started = []
+    real_replay = sim._replay
+    monkeypatch.setattr(sim, "_replay", lambda *args: started.append(1) or real_replay(*args))
+    small = _with_frame_200(demo_trace, frame=GrayscaleImage(np.zeros((32, 32), np.uint8)))
+    with pytest.raises(
+        TraceError, match=r"^frame 200: frame is 32x32, but the first frame is 64x64$"
+    ):
+        run(CharacterizationTrace(small), builtin, Policy.shift())
+    fr = demo_trace.frames[200]
+    model = min(fr.per_model)
+    moved = replace(fr.per_model[model], box=BoundingBox(50, 50, 90, 90))
+    outside = _with_frame_200(demo_trace, per_model={**fr.per_model, model: moved})
+    with pytest.raises(
+        TraceError,
+        match=rf"^frame 200: 'detections.{model}.box' \(50, 50, 90, 90\) outside 64x64 frame$",
+    ):
+        run(CharacterizationTrace(outside), builtin, Policy.shift())
+    assert not started
+
+
+# The builtin catalog with and without a model, ghost, that is compatible
+# with gpu but has no profile.
+_CATALOGS = st.sampled_from(
+    [builtin_catalog(), with_ghost(builtin_catalog(), CharacterizationTrace(()), 0)[0]]
+)
+# Frames observing any subset of two profiled models and ghost: empty and
+# ghost-only frames among them.
+_TRACES = st.lists(
+    st.dictionaries(
+        st.sampled_from(["yolov7", "yolov7-tiny", "ghost"]),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        max_size=3,
+    ),
+    max_size=6,
+).map(make_trace)
+# Profiled pairs, then an unprofiled compatible and an incompatible one.
+_PAIRS = st.sampled_from(
+    [("yolov7", "gpu"), ("yolov7-tiny", "oakd"), ("ghost", "gpu"), ("yolov7-e6e", "oakd")]
+)
+_OVERHEADS = st.sampled_from([0.0, 0.002, -1.0, 1e308])
+_GRIDS = st.sampled_from([
+    {"momentum": [1, 30]},
+    {"w_latency": [0.0, 1.0], "distance_threshold": [0.0, 0.5]},
+    {"w_latency": 0.5},
+    {"warp_factor": [1]},
+    {},
+    [0.5],
+    {"momentum": [0]},
+    {"momentum": [1.5]},
+    {"bucket_width": [2.0]},
+    {"w_energy": [float("nan")]},
+])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(catalog=_CATALOGS, trace=_TRACES, pair=_PAIRS, overhead=_OVERHEADS, grid=_GRIDS)
+def test_no_input_is_rejected_after_the_replay_starts(catalog, trace, pair, overhead, grid):
+    """Every policy's run and a sweep either complete or raise before the
+    first `_replay` starts.
+
+    The shift policy's `no profiled (model, accelerator) pair among
+    predictions` is raised by `_select`, which also runs mid-replay, but it
+    can fire only in `bootstrap()`:
+    - the incumbent is always a profiled pair, since `_select` picks only
+      among profiled pairs;
+    - the incumbent's model has nodes in the map: `bootstrap()` seeds only
+      the map's models, and a later pass picks among predicted models,
+      each predicted from a node of its own;
+    - every entry predicts its own node's model, at distance 0, so each
+      prediction tuple a replay passes to `_select` holds the incumbent's
+      profiled model.
+    """
+    started = []
+    real_replay = sim._replay
+
+    def spy(*args):
+        started.append(1)
+        return real_replay(*args)
+
+    policies = [Policy.shift(), Policy.single(*pair),
+                *(Policy.oracle(o) for o in ("energy", "accuracy", "latency"))]
+    calls = [
+        *(lambda p=p: run(trace, catalog, p, scheduler_overhead_s=overhead) for p in policies),
+        lambda: sweep(trace, catalog, grid, scheduler_overhead_s=overhead),
+    ]
+    with mock.patch.object(sim, "_replay", spy):
+        for call in calls:
+            started.clear()
+            try:
+                call()
+            except (ValidationError, ValueError, KeyError):
+                assert not started
+
+
 def test_shift_uncharacterized_choice_scores_zero():
     # model b is characterized only at the start; when the scheduler keeps
     # choosing it later (no context to trigger otherwise), missing frames
@@ -280,7 +386,9 @@ def test_oracle_latency(builtin):
 
 
 def test_oracle_empty_frame_rejected(builtin):
-    with pytest.raises(ValueError, match="no model outcomes"):
+    with pytest.raises(
+        ValidationError, match=r"^frame 3: no profiled pair among observed models \(none\)$"
+    ):
         oracle_choose(FrameRecord(frame_index=3, per_model={}), builtin, "energy")
 
 
