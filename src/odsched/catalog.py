@@ -33,9 +33,9 @@ Trace: newline-delimited JSON, one record per frame::
 
 `ground_truth`, `frame_image`, and a detection's `box` are all optional.
 A `frame_image` string is a PGM (P5) path resolved relative to the trace
-file's directory.  Every frame has the first frame's size, and the boxes
-of a record with a frame lie inside it; a trace built in code is held to
-the same rule when it is constructed, naming the frame index.
+file's directory.  Frame indices strictly increase, every frame has the
+first frame's size, and a framed record's boxes lie inside it; a trace is
+checked when built, naming a frame `<path>:<line>` if loaded, else `frame <i>`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -363,35 +363,39 @@ class FrameRecord:
     per_model: Mapping[ModelId, DetectionOutcome]
     ground_truth: BoundingBox | None = None
     frame: GrayscaleImage | None = None
+    # Where the record was read, `<path>:<line>`; not part of its value.
+    source: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.frame_index < 0:
             raise ValueError(f"frame index {self.frame_index} must be >= 0")
 
+    @property
+    def label(self) -> str:
+        """How an error names the frame: its source, else `frame <i>`."""
+        return self.source or f"frame {self.frame_index}"
+
 
 def _check_geometry(
-    size: tuple[int, int] | None,
-    image: GrayscaleImage | None,
-    ground_truth: BoundingBox | None,
-    per_model: Mapping[ModelId, DetectionOutcome],
+    size: tuple[int, int] | None, fr: FrameRecord
 ) -> tuple[int, int] | None:
-    """The trace's frame size after one record: `size`, the first frame's,
-    or `image`'s when this is the first frame.  A record with a frame must
+    """The trace's frame size after `fr`: `size`, the first frame's, or
+    `fr.frame`'s when this is the first frame.  A record with a frame must
     have that size, and its ground-truth and detection boxes must lie inside
     it; otherwise ValueError explains which."""
-    if image is None:
+    if fr.frame is None:
         return size
-    height, width = image.pixels.shape
+    height, width = fr.frame.pixels.shape
     if size is None:
         size = (width, height)
     elif (width, height) != size:
         raise ValueError(
             f"frame is {width}x{height}, but the first frame is {size[0]}x{size[1]}"
         )
-    box = ground_truth
+    box = fr.ground_truth
     if box is not None and (box.x_max > width or box.y_max > height):
         raise _outside("ground_truth", box, size)
-    for model, outcome in per_model.items():
+    for model, outcome in fr.per_model.items():
         box = outcome.box
         if box is not None and (box.x_max > width or box.y_max > height):
             raise _outside(f"detections.{model}.box", box, size)
@@ -410,15 +414,15 @@ class CharacterizationTrace:
     frames: tuple[FrameRecord, ...]
 
     def __post_init__(self) -> None:
-        indices = [fr.frame_index for fr in self.frames]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ValueError("trace frame indices must be strictly increasing")
-        size = None
+        last_index, size = -1, None
         for fr in self.frames:
+            if fr.frame_index <= last_index:
+                raise TraceError(f"{fr.label}: 'frame': {fr.frame_index} not strictly increasing")
+            last_index = fr.frame_index
             try:
-                size = _check_geometry(size, fr.frame, fr.ground_truth, fr.per_model)
+                size = _check_geometry(size, fr)
             except ValueError as exc:
-                raise TraceError(f"frame {fr.frame_index}: {exc}") from None
+                raise TraceError(f"{fr.label}: {exc}") from None
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -443,7 +447,8 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
     """Load a newline-delimited trace, validating against the catalog.
 
     The file is read one line at a time, so only one record's text is held
-    in memory beside the decoded frames.
+    in memory beside the decoded frames.  `CharacterizationTrace` checks
+    the trace rules once every line has decoded.
     """
     path = Path(path)
     try:
@@ -453,8 +458,6 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
 
     known = set(catalog.models)
     frames: list[FrameRecord] = []
-    last_index = -1
-    size = None  # (width, height) of the first frame; every frame must match
     with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -474,8 +477,6 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                     raise ValueError(f"must be an integer, got {index!r}")
                 if index < 0:
                     raise ValueError(f"{index} must be >= 0")
-                if index <= last_index:
-                    raise ValueError(f"{index} not strictly increasing")
                 field = "'ground_truth'"
                 gt = rec.get("ground_truth")
                 gt = None if gt is None else _box_from_dict(gt)
@@ -501,12 +502,7 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                     )
             except (*DECODE_ERRORS, OSError) as exc:  # OSError: an unreadable PGM
                 raise decode_error(TraceError, f"{where}: {field}", exc) from None
-            last_index = index
-            try:
-                size = _check_geometry(size, image, gt, detections)
-            except ValueError as exc:
-                raise TraceError(f"{where}: {exc}") from None
-            frames.append(FrameRecord(index, detections, gt, image))
+            frames.append(FrameRecord(index, detections, gt, image, where))
     return CharacterizationTrace(frames=tuple(frames))
 
 

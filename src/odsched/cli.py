@@ -111,7 +111,7 @@ def _grid_from_dict(doc: dict) -> dict:
     """`doc`, once `sim.expand_grid` accepts it as a sweep grid."""
     try:
         sim.expand_grid(doc)
-    except (OverflowError, ValueError) as exc:  # OverflowError: float() of a huge int
+    except ValueError as exc:
         raise ValidationError(str(exc)) from None
     return doc
 

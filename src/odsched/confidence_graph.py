@@ -28,6 +28,7 @@ import heapq
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -127,6 +128,12 @@ def bucket_count(bucket_width: float, name: str = "bucket width") -> int:
         return math.ceil(round(1.0 / bucket_width, 9))
     except OverflowError:  # ceil of an infinite 1 / width
         raise ValueError(f"{name} {bucket_width} too narrow: 1 / width overflows") from None
+
+
+def check_distance_threshold(threshold: float, name: str = "distance threshold") -> None:
+    """The one statement of the distance-threshold rule; `name` names it."""
+    if not (0.0 <= threshold <= sys.float_info.max):  # NaN and a huge int fail too
+        raise ValueError(f"{name} {threshold} must be finite and >= 0")
 
 
 def bucket_index(confidence: float, bucket_width: float) -> int:
@@ -249,7 +256,7 @@ def neighborhood(
     """
     if start not in cg.nodes:
         raise KeyError(f"start node {start} not in graph")
-    _check_threshold(distance_threshold)
+    check_distance_threshold(distance_threshold)
     adj: dict[NodeKey, list[tuple[NodeKey, float]]] = {k: [] for k in cg.nodes}
     for (src, dst), cost in cg.arcs.items():
         adj[src].append((dst, cost))
@@ -284,7 +291,7 @@ def _neighborhoods(
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
 
-    _check_threshold(distance_threshold)
+    check_distance_threshold(distance_threshold)
     keys = sorted(cg.nodes)
     index = {k: i for i, k in enumerate(keys)}
     rows = [index[src] for src, _ in cg.arcs]
@@ -298,11 +305,6 @@ def _neighborhoods(
         start: {keys[j]: d for j, d in enumerate(row) if d != math.inf}
         for start, row in zip(keys, dist.tolist())
     }
-
-
-def _check_threshold(distance_threshold: float) -> None:
-    if not (math.isfinite(distance_threshold) and distance_threshold >= 0):
-        raise ValueError("distance threshold must be finite and >= 0")
 
 
 def consolidate(neigh: Iterable[tuple[GraphNode, float]]) -> tuple[Prediction, ...]:
@@ -442,8 +444,7 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
         width = json_float(doc, "bucket_width")
         bucket_count(width, "'bucket_width'")  # checks the width rule
         threshold = json_float(doc, "distance_threshold")
-        if not (math.isfinite(threshold) and threshold >= 0.0):
-            raise ValueError(f"'distance_threshold' {threshold} must be finite and >= 0")
+        check_distance_threshold(threshold, "'distance_threshold'")
         nodes: dict[NodeKey, GraphNode] = {}
         for i, n in enumerate(doc["nodes"]):
             where = f"nodes[{i}]"

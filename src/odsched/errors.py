@@ -66,7 +66,10 @@ def json_float(doc: Mapping[str, Any], key: str) -> float:
     value = doc[key]
     if type(value) is float:
         return value
-    return float(_json_number(doc, key))
+    try:
+        return float(_json_number(doc, key))
+    except OverflowError as exc:  # an int too large for a float
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def json_int(doc: Mapping[str, Any], key: str) -> int:

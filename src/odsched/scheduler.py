@@ -37,7 +37,9 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from .catalog import BoundingBox, Catalog, ModelId, Pair
-from .confidence_graph import Prediction, PredictionMap, bucket_count, predict
+from .confidence_graph import (
+    Prediction, PredictionMap, bucket_count, check_distance_threshold, predict
+)
 from .context import FrameStats, bbox_similarity, ncc_cached
 from .errors import json_float, json_int
 from .images import GrayscaleImage
@@ -78,10 +80,7 @@ class SchedulerConfig:
             raise ValueError(f"momentum {self.momentum} must be >= 1")
         if self.momentum > sys.maxsize:  # a deque's maxlen is a C ssize_t
             raise ValueError(f"momentum {self.momentum} must be <= {sys.maxsize}")
-        if not (math.isfinite(self.distance_threshold) and self.distance_threshold >= 0):
-            raise ValueError(
-                f"distance_threshold {self.distance_threshold} must be finite and >= 0"
-            )
+        check_distance_threshold(self.distance_threshold, "distance_threshold")
         bucket_count(self.bucket_width, "bucket_width")  # checks the width rule
 
     def params(self) -> dict[str, float | int]:

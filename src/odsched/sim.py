@@ -229,7 +229,7 @@ def oracle_choose(frame: FrameRecord, catalog: Catalog, objective: str) -> Pair:
     if not pairs:
         observed = ", ".join(sorted(frame.per_model)) or "none"
         raise ValidationError(
-            f"frame {frame.frame_index}: no profiled pair among observed models ({observed})"
+            f"{frame.label}: no profiled pair among observed models ({observed})"
         )
     pairs = [p for p in pairs if frame.per_model[p[0]].iou >= SUCCESS_IOU] or pairs
     if objective == "energy":
@@ -251,6 +251,7 @@ def run(
     prefill: bool = False,
 ) -> SimulationReport:
     """Replay the trace under `policy` and aggregate the report."""
+    _check_overhead(trace, catalog, scheduler_overhead_s)
     return _run(
         trace, catalog, policy, scheduler_overhead_s, prediction_map, prefill, None
     )
@@ -288,7 +289,6 @@ def _run(
     prefill: bool,
     memo: dict[tuple, float] | None,
 ) -> SimulationReport:
-    _check_overhead(trace, catalog, overhead_s)
     config = None
     charged_overhead_s = 0.0  # only the adaptive policy pays for deciding
     memories: dict[str, AcceleratorMemory] | None = None  # oracles preload all

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 import tracemalloc
 
@@ -13,6 +14,7 @@ from conftest import make_catalog, make_profile
 from odsched.catalog import (
     BoundingBox,
     CharacterizationTrace,
+    DetectionOutcome,
     FrameRecord,
     builtin_catalog,
     catalog_from_dict,
@@ -342,8 +344,12 @@ def test_load_trace_well_formed(tmp_path, two_model_catalog):
     assert trace.models() == ("a", "b")
     assert trace.frames[2].ground_truth is not None
     # The writer leaves out what the record left out: frame 1's detection
-    # box and ground truth are absent, not null.
+    # box and ground truth are absent, not null.  A frame's source line is
+    # neither written nor part of its value.
     assert [frame_to_dict(fr) for fr in trace.frames] == records
+    assert [fr.label for fr in trace.frames] == [f"{path}:{n}" for n in (1, 2, 3)]
+    assert trace.frames[1] == FrameRecord(1, {"a": DetectionOutcome(0.5, 0.0)})
+    assert "source" not in frame_to_dict(trace.frames[1])
 
 
 def test_load_trace_unknown_model(tmp_path, two_model_catalog):
@@ -368,7 +374,18 @@ def test_load_trace_non_monotone_frames(tmp_path, two_model_catalog):
             {"frame": 1, "detections": {"a": _det(0.5, 0.0)}},
         ],
     )
-    with pytest.raises(TraceError, match="not strictly increasing"):
+    with pytest.raises(
+        TraceError, match=rf"^{re.escape(path)}:2: 'frame': 1 not strictly increasing$"
+    ):
+        load_trace(path, two_model_catalog)
+
+
+def test_load_trace_reports_a_decode_error_before_a_trace_rule(tmp_path, two_model_catalog):
+    # The trace rules are checked once the whole file has decoded, so line
+    # 3's bad JSON is reported although line 2 repeats frame 0.
+    path = tmp_path / "trace.ndjson"
+    path.write_text('{"frame": 0}\n{"frame": 0}\nnot json\n')
+    with pytest.raises(TraceError, match="trace.ndjson:3: invalid JSON"):
         load_trace(path, two_model_catalog)
 
 
@@ -376,8 +393,11 @@ def test_frame_and_trace_indices_checked_on_construction():
     with pytest.raises(ValueError, match=r"^frame index -1 must be >= 0$"):
         FrameRecord(frame_index=-1, per_model={})
     frame = FrameRecord(frame_index=4, per_model={})
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(TraceError, match=r"^frame 4: 'frame': 4 not strictly increasing$"):
         CharacterizationTrace(frames=(frame, frame))
+    earlier = FrameRecord(frame_index=2, per_model={})
+    with pytest.raises(TraceError, match=r"^frame 2: 'frame': 2 not strictly increasing$"):
+        CharacterizationTrace(frames=(FrameRecord(0, {}), frame, earlier))
 
 
 def test_load_trace_iou_without_box(tmp_path, two_model_catalog):
@@ -468,6 +488,10 @@ def test_load_trace_checks_frame_geometry(tmp_path, two_model_catalog, record, m
     assert len(load_trace(path, two_model_catalog)) == 2
     path = _write_trace(tmp_path, [_framed(0), record])
     with pytest.raises(TraceError, match=f"trace.ndjson:2: {message}"):
+        load_trace(path, two_model_catalog)
+    # A blank line counts: the error names the file's line, not the record's.
+    (tmp_path / "trace.ndjson").write_text(f"{json.dumps(_framed(0))}\n\n{json.dumps(record)}\n")
+    with pytest.raises(TraceError, match=f"trace.ndjson:3: {message}"):
         load_trace(path, two_model_catalog)
 
 

@@ -312,7 +312,7 @@ def test_sweep_scalar_grid_value_fails_cleanly(tmp_path, trace_file, capsys):
     [
         ('{"warp_factor": [1]}', "unknown sweep parameters: warp_factor"),
         # An integer beyond the float range is an error, not a traceback.
-        (f'{{"w_latency": [1{"0" * 400}]}}', "int too large to convert to float"),
+        (f'{{"w_latency": [1{"0" * 400}]}}', "w_latency: int too large to convert to float"),
     ],
 )
 def test_sweep_grid_is_decoded_before_the_catalog_and_trace(tmp_path, capsys, grid, message):
@@ -433,8 +433,9 @@ def test_oracle_on_a_frame_without_a_profiled_model_fails_before_writing(tmp_pat
                  "--trace", str(tmp_path / "trace.ndjson"), "--policy", "oracle-e",
                  "--out", str(out)])
     assert code == 1
+    # Frame 150 is line 151 of the file.
     assert capsys.readouterr().err == (
-        "error: frame 150: no profiled pair among observed models (ghost)\n"
+        f"error: {tmp_path / 'trace.ndjson'}:151: no profiled pair among observed models (ghost)\n"
     )
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -394,10 +395,11 @@ def test_neighborhoods_hand_built(arcs, keys, threshold, expected):
     assert _per_node(cg, threshold) == expected
 
 
-@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1])
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 10**400])
 def test_neighborhoods_reject_bad_threshold(threshold):
     cg = _chain_graph({}, [_A])
-    with pytest.raises(ValueError, match="^distance threshold must be finite and >= 0$"):
+    message = rf"^distance threshold {re.escape(str(threshold))} must be finite and >= 0$"
+    with pytest.raises(ValueError, match=message):
         _neighborhoods(cg, threshold)
 
 
@@ -516,7 +518,8 @@ def test_prediction_map_rejects_min_samples_below_one(min_samples):
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_prediction_map_rejects_non_finite_threshold(demo_trace, threshold):
-    with pytest.raises(ValueError, match="^distance threshold must be finite and >= 0$"):
+    message = f"^distance threshold {threshold} must be finite and >= 0$"
+    with pytest.raises(ValueError, match=message):
         build_prediction_map(demo_trace, 0.1, threshold)
 
 

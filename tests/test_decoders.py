@@ -363,5 +363,7 @@ def test_box_fast_check_accepts_and_rejects_as_the_full_checks(coords):
 def test_json_float_fast_path_equals_the_full_check(value):
     doc = {"v": value}
     expected = _outcome(lambda: float(_json_number(doc, "v")))
+    if expected[0] is OverflowError:  # an int too large for a float
+        expected = (ValueError, "v: int too large to convert to float")
     got = _outcome(lambda: json_float(doc, "v"))
     assert got == expected

@@ -170,6 +170,16 @@ def test_sweep_checks_the_overhead_before_any_graph_build(builtin, demo_trace, m
         sweep(CharacterizationTrace(frames=()), builtin, grid)
 
 
+def test_run_and_sweep_check_the_overhead_once(builtin, demo_trace, monkeypatch):
+    checks = []
+    real_check = sim._check_overhead
+    monkeypatch.setattr(sim, "_check_overhead", lambda *a: checks.append(1) or real_check(*a))
+    sweep(demo_trace, builtin, {"momentum": [1, 30], "w_latency": [0.0, 1.0]})
+    assert len(checks) == 1
+    run(demo_trace, builtin, Policy.oracle("energy"))
+    assert len(checks) == 2
+
+
 def test_oracle_checks_every_frame_before_frame_zero(builtin, demo_trace, monkeypatch):
     catalog, trace = with_ghost(builtin, demo_trace, 150)
     silent = CharacterizationTrace(frames=(demo_trace.frames[0], FrameRecord(7, {})))
@@ -241,6 +251,7 @@ _GRIDS = st.sampled_from([
     {"momentum": [1, 30]},
     {"w_latency": [0.0, 1.0], "distance_threshold": [0.0, 0.5]},
     {"w_latency": 0.5},
+    {"w_latency": [10**400]},
     {"warp_factor": [1]},
     {},
     [0.5],
