@@ -33,9 +33,9 @@ Trace: newline-delimited JSON, one record per frame::
 
 `ground_truth`, `frame_image`, and a detection's `box` are all optional.
 A `frame_image` string is a PGM (P5) path resolved relative to the trace
-file's directory.  Frame indices strictly increase, every frame has the
-first frame's size, and a framed record's boxes lie inside it; a trace is
-checked when built, naming a frame `<path>:<line>` if loaded, else `frame <i>`.
+file's directory.  Frame indices strictly increase, every frame has the first
+frame's size and a framed record's boxes lie inside it, checked when the trace
+is built (after all lines decode if loaded), naming `<path>:<line>` or `frame <i>`.
 """
 
 from __future__ import annotations
@@ -447,8 +447,8 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
     """Load a newline-delimited trace, validating against the catalog.
 
     The file is read one line at a time, so only one record's text is held
-    in memory beside the decoded frames.  `CharacterizationTrace` checks
-    the trace rules once every line has decoded.
+    in memory beside the decoded frames.  The trace rules are checked once
+    all lines decode, so a decode error on any line is reported before them.
     """
     path = Path(path)
     try:
@@ -467,41 +467,41 @@ def load_trace(path: str | Path, catalog: Catalog) -> CharacterizationTrace:
                 rec = json.loads(line.decode("utf-8"))
             except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting
                 raise TraceError(f"{where}: invalid JSON: {exc}") from exc
-            field = "record"
+            where_field = "record"
             try:
                 if not isinstance(rec, dict):
                     raise ValueError("must be a JSON object")
-                field = "'frame'"
+                where_field = "'frame'"
                 index = rec["frame"]
                 if type(index) is not int:
                     raise ValueError(f"must be an integer, got {index!r}")
                 if index < 0:
                     raise ValueError(f"{index} must be >= 0")
-                field = "'ground_truth'"
+                where_field = "'ground_truth'"
                 gt = rec.get("ground_truth")
                 gt = None if gt is None else _box_from_dict(gt)
-                field = "bad frame image"
+                where_field = "bad frame image"
                 image = rec.get("frame_image")
                 if isinstance(image, str):
                     image = read_pgm(path.parent / image)
                 elif image is not None:
                     image = decode_inline(image)
-                field = "'detections'"
+                where_field = "'detections'"
                 detections: dict[str, DetectionOutcome] = {}
                 for model, det in rec.get("detections", {}).items():
-                    entry = field = f"frame {index}: 'detections.{model}'"
+                    entry = where_field = f"frame {index}: 'detections.{model}'"
                     if model not in known:
                         raise ValueError("model not in the catalog")
                     box = det.get("box")
                     if box is not None:
-                        field = f"'detections.{model}.box'"
+                        where_field = f"'detections.{model}.box'"
                         box = _box_from_dict(box)
-                        field = entry
+                        where_field = entry
                     detections[model] = DetectionOutcome(
                         json_float(det, "confidence"), json_float(det, "iou"), box
                     )
             except (*DECODE_ERRORS, OSError) as exc:  # OSError: an unreadable PGM
-                raise decode_error(TraceError, f"{where}: {field}", exc) from None
+                raise decode_error(TraceError, f"{where}: {where_field}", exc) from None
             frames.append(FrameRecord(index, detections, gt, image, where))
     return CharacterizationTrace(frames=tuple(frames))
 

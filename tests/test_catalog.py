@@ -381,11 +381,17 @@ def test_load_trace_non_monotone_frames(tmp_path, two_model_catalog):
 
 
 def test_load_trace_reports_a_decode_error_before_a_trace_rule(tmp_path, two_model_catalog):
-    # The trace rules are checked once the whole file has decoded, so line
-    # 3's bad JSON is reported although line 2 repeats frame 0.
+    # The trace rules are checked only after every line has decoded, so line
+    # 3's bad JSON is reported although line 2 repeats frame 0, and so is a
+    # bad box on the very line that repeats it.
     path = tmp_path / "trace.ndjson"
     path.write_text('{"frame": 0}\n{"frame": 0}\nnot json\n')
     with pytest.raises(TraceError, match="trace.ndjson:3: invalid JSON"):
+        load_trace(path, two_model_catalog)
+    path.write_text('{"frame": 0}\n{"frame": 0, "ground_truth": {"x_min": 0}}\n')
+    with pytest.raises(
+        TraceError, match=r"^.*trace.ndjson:2: 'ground_truth': missing key 'y_min'$"
+    ):
         load_trace(path, two_model_catalog)
 
 

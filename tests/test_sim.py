@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_catalog, make_profile, make_trace, with_ghost
@@ -247,7 +247,7 @@ _PAIRS = st.sampled_from(
     [("yolov7", "gpu"), ("yolov7-tiny", "oakd"), ("ghost", "gpu"), ("yolov7-e6e", "oakd")]
 )
 _OVERHEADS = st.sampled_from([0.0, 0.002, -1.0, 1e308])
-_GRIDS = st.sampled_from([
+_GRID_LIST = [
     {"momentum": [1, 30]},
     {"w_latency": [0.0, 1.0], "distance_threshold": [0.0, 0.5]},
     {"w_latency": 0.5},
@@ -259,11 +259,25 @@ _GRIDS = st.sampled_from([
     {"momentum": [1.5]},
     {"bucket_width": [2.0]},
     {"w_energy": [float("nan")]},
-])
+]
+_GRIDS = st.sampled_from(_GRID_LIST)
+
+
+def _with_every_grid(test):
+    """One explicit example per grid, on a trace whose replay starts for a
+    valid grid: under `derandomize=True`, `sampled_from` draws the first
+    entries of a list most of the time and may never draw the last ones."""
+    trace = make_trace([{"yolov7": (0.9, 0.8), "yolov7-tiny": (0.6, 0.5)}] * 3)
+    for grid in _GRID_LIST:
+        test = example(
+            catalog=builtin_catalog(), trace=trace, pair=("yolov7", "gpu"), overhead=0.0, grid=grid
+        )(test)
+    return test
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(catalog=_CATALOGS, trace=_TRACES, pair=_PAIRS, overhead=_OVERHEADS, grid=_GRIDS)
+@_with_every_grid
 def test_no_input_is_rejected_after_the_replay_starts(catalog, trace, pair, overhead, grid):
     """Every policy's run and a sweep either complete or raise before the
     first `_replay` starts.
