@@ -24,13 +24,11 @@ from .catalog import (
     save_trace,
 )
 from .confidence_graph import (
-    Bucket,
     CoGraph,
     CostGraph,
     GraphNode,
     Prediction,
     PredictionMap,
-    bucket_for,
     build_cograph,
     build_prediction_map,
     consolidate,

@@ -165,10 +165,10 @@ class ModelProfile:
     def __post_init__(self) -> None:
         pair = f"({self.model}, {self.accelerator})"
         for name in ("avg_latency_s", "avg_power_w", "avg_energy_j", "memory_bytes"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+            if not (0 < getattr(self, name) <= _FLOAT_MAX):  # NaN and a huge int fail too
                 raise CatalogError(f"profile {pair}: {name} must be finite and > 0")
         for name in ("load_time_s", "load_energy_j"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+            if not (0 <= getattr(self, name) <= _FLOAT_MAX):
                 raise CatalogError(f"profile {pair}: {name} must be finite and >= 0")
 
     @property
@@ -189,7 +189,7 @@ class Catalog:
     def __post_init__(self) -> None:
         # Canonical model order makes save -> load an identity.
         object.__setattr__(self, "models", tuple(sorted(self.models)))
-        if not (math.isfinite(self.energy_tolerance) and self.energy_tolerance > 0):
+        if not (0 < self.energy_tolerance <= _FLOAT_MAX):
             raise CatalogError("energy_tolerance must be finite and > 0")
         _validate_catalog(self)
 

@@ -2,8 +2,9 @@
 
 Built offline from a characterization trace in five stages:
 
-1. Bucket each model's confidence range into nodes carrying the mean IoU of
-   the frames that landed in the bucket.
+1. Split each model's confidence range into buckets of one width; each
+   bucket that frames land in becomes a node carrying their mean IoU, keyed
+   by (model, bucket index) and by nothing else.
 2. Weight the edge between each pair of distinct-model nodes by the number
    of frames on which both were active.  Frames are counted per distinct
    set of active nodes, and each set adds its pairs once, weighted by how
@@ -54,24 +55,11 @@ NodeKey = tuple[ModelId, int]
 
 
 @dataclass(frozen=True)
-class Bucket:
-    """One model's confidence interval [lo, hi); the last bucket is closed."""
-
-    model: ModelId
-    index: int
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
 class GraphNode:
-    bucket: Bucket
+    """What the trace says about one node; its `NodeKey` says which one."""
+
     expected_accuracy: float
     sample_count: int
-
-    @property
-    def key(self) -> NodeKey:
-        return (self.bucket.model, self.bucket.index)
 
 
 @dataclass(frozen=True)
@@ -85,7 +73,6 @@ class Prediction:
 class CoGraph:
     """Raw co-occurrence graph; edge keys are sorted (undirected)."""
 
-    bucket_width: float
     nodes: Mapping[NodeKey, GraphNode]
     edges: Mapping[tuple[NodeKey, NodeKey], int]
 
@@ -94,7 +81,6 @@ class CoGraph:
 class CostGraph:
     """Directed traversal costs in [0, 1]; cheaper means more co-occurrence."""
 
-    bucket_width: float
     nodes: Mapping[NodeKey, GraphNode]
     arcs: Mapping[tuple[NodeKey, NodeKey], float]
 
@@ -154,15 +140,11 @@ def _bucket_index(confidence: float, bucket_width: float, n_buckets: int) -> int
     return min(idx, n_buckets - 1)
 
 
-def bucket_for(model: ModelId, confidence: float, bucket_width: float) -> Bucket:
-    idx = bucket_index(confidence, bucket_width)
-    return _bucket(model, idx, bucket_width)
-
-
-def _bucket(model: ModelId, idx: int, bucket_width: float) -> Bucket:
-    lo = round(idx * bucket_width, 9)
-    hi = min(round((idx + 1) * bucket_width, 9), 1.0)
-    return Bucket(model=model, index=idx, lo=lo, hi=hi)
+def bucket_bounds(index: int, bucket_width: float) -> tuple[float, float]:
+    """Bounds [lo, hi) of bucket `index`, rounded as `bucket_index` rounds."""
+    lo = round(index * bucket_width, 9)
+    hi = min(round((index + 1) * bucket_width, 9), 1.0)
+    return lo, hi
 
 
 def build_cograph(trace: CharacterizationTrace, bucket_width: float) -> CoGraph:
@@ -188,15 +170,8 @@ def build_cograph(trace: CharacterizationTrace, bucket_width: float) -> CoGraph:
         _add_count(samples, active, frames)
         # Keys of distinct models in model order: each pair is already sorted.
         _add_count(edges, itertools.combinations(active, 2), frames)
-    nodes = {
-        key: GraphNode(
-            bucket=_bucket(key[0], key[1], bucket_width),
-            expected_accuracy=iou_sum[key] / samples[key],
-            sample_count=samples[key],
-        )
-        for key in sorted(samples)
-    }
-    return CoGraph(bucket_width=bucket_width, nodes=nodes, edges=dict(edges))
+    nodes = {k: GraphNode(iou_sum[k] / samples[k], samples[k]) for k in sorted(samples)}
+    return CoGraph(nodes=nodes, edges=dict(edges))
 
 
 def _add_count(counts: Counter, keys: Iterable, weight: int) -> None:
@@ -220,7 +195,7 @@ def prune_sparse_nodes(g: CoGraph, min_samples: int) -> CoGraph:
         return g
     keep = {k: n for k, n in g.nodes.items() if n.sample_count >= min_samples}
     edges = {e: w for e, w in g.edges.items() if e[0] in keep and e[1] in keep}
-    return CoGraph(bucket_width=g.bucket_width, nodes=keep, edges=edges)
+    return CoGraph(nodes=keep, edges=edges)
 
 
 def normalize_invert(g: CoGraph) -> CostGraph:
@@ -241,7 +216,7 @@ def normalize_invert(g: CoGraph) -> CostGraph:
     for (a, b), w in g.edges.items():
         arcs[(a, b)] = 1.0 - w / max_incident[a]
         arcs[(b, a)] = 1.0 - w / max_incident[b]
-    return CostGraph(bucket_width=g.bucket_width, nodes=dict(g.nodes), arcs=arcs)
+    return CostGraph(nodes=dict(g.nodes), arcs=arcs)
 
 
 def neighborhood(
@@ -307,21 +282,23 @@ def _neighborhoods(
     }
 
 
-def consolidate(neigh: Iterable[tuple[GraphNode, float]]) -> tuple[Prediction, ...]:
+def consolidate(
+    nodes: Mapping[NodeKey, GraphNode], neigh: Mapping[NodeKey, float]
+) -> tuple[Prediction, ...]:
     """Stage 5: one prediction per model via inverse-distance weighting.
 
+    `neigh` maps each node near one start node to its distance.
     predicted = sum(acc_i / (d_i + eps)) / sum(1 / (d_i + eps)) over that
-    model's nodes; the reported distance is the nearest node's.  Input order
-    does not matter: terms are accumulated in a canonical ordering.
+    model's nodes, each named by its key; the reported distance is the
+    nearest node's.  Terms are summed in key order, whatever `neigh`'s.
     """
-    ordered = sorted(neigh, key=lambda nd: (nd[0].key, nd[1]))
     num: dict[ModelId, float] = {}
     den: dict[ModelId, float] = {}
     nearest: dict[ModelId, float] = {}
-    for node, d in ordered:
-        model = node.bucket.model
+    for key in sorted(neigh):
+        model, d = key[0], neigh[key]
         w = 1.0 / (d + EPSILON)
-        num[model] = num.get(model, 0.0) + w * node.expected_accuracy
+        num[model] = num.get(model, 0.0) + w * nodes[key].expected_accuracy
         den[model] = den.get(model, 0.0) + w
         nearest[model] = min(nearest.get(model, math.inf), d)
     return tuple(
@@ -342,7 +319,7 @@ def build_prediction_map(
     cograph = prune_sparse_nodes(build_cograph(trace, bucket_width), min_samples)
     cost = normalize_invert(cograph)
     entries = {
-        key: consolidate((cost.nodes[k], d) for k, d in neigh.items())
+        key: consolidate(cost.nodes, neigh)
         for key, neigh in _neighborhoods(cost, distance_threshold).items()
     }
     return PredictionMap(
@@ -375,9 +352,9 @@ def predict(
 
 
 def _midpoint(idx: int, bucket_width: float) -> float:
-    b = _bucket("", idx, bucket_width)
+    lo, hi = bucket_bounds(idx, bucket_width)
     # Quantized like the bucket bounds, so decimal-grid queries tie exactly.
-    return round((b.lo + b.hi) / 2.0, 9)
+    return round((lo + hi) / 2.0, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +362,21 @@ def _midpoint(idx: int, bucket_width: float) -> float:
 
 
 def prediction_map_to_dict(pm: PredictionMap) -> dict:
+    """The map as JSON; a node's `lo`/`hi` are derived, and ignored on load."""
     return {
         "bucket_width": pm.bucket_width,
         "distance_threshold": pm.distance_threshold,
         "nodes": [
             {
-                "model": n.bucket.model,
-                "bucket": n.bucket.index,
-                "lo": n.bucket.lo,
-                "hi": n.bucket.hi,
+                "model": model,
+                "bucket": idx,
+                "lo": lo,
+                "hi": hi,
                 "expected_accuracy": n.expected_accuracy,
                 "samples": n.sample_count,
             }
-            for _, n in sorted(pm.nodes.items())
+            for (model, idx), n in sorted(pm.nodes.items())
+            for lo, hi in [bucket_bounds(idx, pm.bucket_width)]
         ],
         "arcs": [
             {"from": list(src), "to": list(dst), "cost": cost}
@@ -442,16 +421,17 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
     where = "prediction map"
     try:
         width = json_float(doc, "bucket_width")
-        bucket_count(width, "'bucket_width'")  # checks the width rule
+        n_buckets = bucket_count(width, "'bucket_width'")  # checks the width rule
         threshold = json_float(doc, "distance_threshold")
         check_distance_threshold(threshold, "'distance_threshold'")
         nodes: dict[NodeKey, GraphNode] = {}
         for i, n in enumerate(doc["nodes"]):
             where = f"nodes[{i}]"
             key = (json_str(n, "model"), json_int(n, "bucket"))
+            if not 0 <= key[1] < n_buckets:
+                raise ValueError(f"bucket {key[1]} outside [0, {n_buckets})")
             _check_new(key, nodes, "node")
             nodes[key] = GraphNode(
-                bucket=_bucket(*key, width),
                 expected_accuracy=_json_range(n, "expected_accuracy", 1.0),
                 sample_count=json_int(n, "samples"),
             )

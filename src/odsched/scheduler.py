@@ -56,7 +56,7 @@ class Knobs:
     def __post_init__(self) -> None:
         weights = asdict(self)
         for name, w in weights.items():
-            if not (math.isfinite(w) and w >= 0):
+            if not (0 <= w <= sys.float_info.max):  # NaN and a huge int fail too
                 raise ValueError(f"{name} must be finite and non-negative, got {w}")
         if not any(w > 0 for w in weights.values()):
             raise ValueError("at least one knob weight must be positive")

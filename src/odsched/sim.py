@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -498,7 +499,7 @@ class ModelBehavior:
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ScenarioError(f"{name} {getattr(self, name)} outside [0, 1]")
         for name in ("conf_sigma", "iou_sigma"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+            if not (0 <= getattr(self, name) <= sys.float_info.max):  # NaN and a huge int fail too
                 raise ScenarioError(f"{name} must be finite and >= 0")
 
 

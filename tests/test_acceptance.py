@@ -117,9 +117,7 @@ def test_criterion_02_graph_oracle_equivalence():
                 )
             from odsched.confidence_graph import consolidate
 
-            preds = {p.model: p for p in consolidate(
-                (cg.nodes[k], d) for k, d in fast.items()
-            )}
+            preds = {p.model: p for p in consolidate(cg.nodes, fast)}
             for model, pairs in groups.items():
                 num = sum(acc / (d + EPSILON) for acc, d in pairs)
                 den = sum(1.0 / (d + EPSILON) for acc, d in pairs)

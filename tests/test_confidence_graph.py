@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import SCENARIOS, make_trace
 from odsched.confidence_graph import (
-    Bucket,
     CoGraph,
     CostGraph,
     GraphNode,
+    bucket_bounds,
     bucket_count,
-    bucket_for,
     bucket_index,
     build_cograph,
     build_prediction_map,
@@ -39,39 +38,41 @@ from odsched.sim import gen_trace
 # buckets
 
 
-def test_bucket_for_decimal_range_example():
-    b = bucket_for("yolov7", 0.53, 0.1)
-    assert (b.index, b.lo, b.hi) == (5, 0.5, 0.6)
+def _bucket_of(confidence: float, width: float) -> tuple[int, float, float]:
+    idx = bucket_index(confidence, width)
+    return (idx, *bucket_bounds(idx, width))
 
 
-def test_bucket_for_top_boundary_closed():
-    b = bucket_for("m", 1.0, 0.1)
-    assert (b.index, b.lo, b.hi) == (9, 0.9, 1.0)
+def test_bucket_decimal_range_example():
+    assert _bucket_of(0.53, 0.1) == (5, 0.5, 0.6)
 
 
-def test_bucket_for_half_open_boundary():
-    b = bucket_for("m", 0.5, 0.1)
-    assert (b.lo, b.hi) == (0.5, 0.6)
+def test_bucket_top_boundary_closed():
+    assert _bucket_of(1.0, 0.1) == (9, 0.9, 1.0)
+
+
+def test_bucket_half_open_boundary():
+    assert bucket_bounds(bucket_index(0.5, 0.1), 0.1) == (0.5, 0.6)
     # decimal boundaries that are inexact in binary still go up
-    assert bucket_for("m", 0.7, 0.1).index == 7
-    assert bucket_for("m", 0.3, 0.1).index == 3
+    assert bucket_index(0.7, 0.1) == 7
+    assert bucket_index(0.3, 0.1) == 3
 
 
 def test_bucket_partition_is_exhaustive_and_disjoint():
     for width in (0.1, 0.15, 0.25, 0.3, 1.0):
         for conf in np.linspace(0.0, 1.0, 101):
-            b = bucket_for("m", float(conf), width)
-            assert b.lo <= conf + 1e-9
-            if b.hi < 1.0:
-                assert conf < b.hi + 1e-9
-    assert bucket_for("m", 0.97, 0.15).lo == 0.9
+            _, lo, hi = _bucket_of(float(conf), width)
+            assert lo <= conf + 1e-9
+            if hi < 1.0:
+                assert conf < hi + 1e-9
+    assert _bucket_of(0.97, 0.15)[1] == 0.9
 
 
 def test_bucket_width_validation():
     with pytest.raises(ValueError):
-        bucket_for("m", 0.5, 0.0)
+        bucket_index(0.5, 0.0)
     with pytest.raises(ValueError):
-        bucket_for("m", 1.5, 0.1)
+        bucket_index(1.5, 0.1)
 
 
 def test_bucket_width_too_narrow_for_its_bucket_count():
@@ -208,21 +209,15 @@ def test_cograph_equals_per_frame_count(scenario, seed, width):
 # cost normalization
 
 
-def _node(model: str, idx: int, acc: float = 0.5) -> GraphNode:
-    lo = round(idx * 0.1, 9)
-    return GraphNode(
-        bucket=Bucket(model=model, index=idx, lo=lo, hi=round(lo + 0.1, 9)),
-        expected_accuracy=acc,
-        sample_count=1,
-    )
+def _node(acc: float = 0.5) -> GraphNode:
+    return GraphNode(expected_accuracy=acc, sample_count=1)
 
 
 def test_normalize_invert_star_weights():
     # center node with incident weights 4, 2, 1
     center, n1, n2, n3 = ("c", 0), ("a", 0), ("a", 1), ("b", 0)
-    nodes = {k: _node(*k) for k in (center, n1, n2, n3)}
+    nodes = {k: _node() for k in (center, n1, n2, n3)}
     g = CoGraph(
-        bucket_width=0.1,
         nodes=nodes,
         edges={
             tuple(sorted((center, n1))): 4,
@@ -240,14 +235,14 @@ def test_normalize_invert_star_weights():
 
 
 def test_normalize_invert_isolated_node():
-    g = CoGraph(bucket_width=0.1, nodes={("a", 0): _node("a", 0)}, edges={})
+    g = CoGraph(nodes={("a", 0): _node()}, edges={})
     cg = normalize_invert(g)
     assert cg.arcs == {}
 
 
 def test_normalize_invert_rejects_zero_weight_edge():
     a, b = ("a", 0), ("b", 0)
-    g = CoGraph(bucket_width=0.1, nodes={k: _node(*k) for k in (a, b)}, edges={(a, b): 0})
+    g = CoGraph(nodes={k: _node() for k in (a, b)}, edges={(a, b): 0})
     with pytest.raises(ValueError, match="non-positive weight 0"):
         normalize_invert(g)
 
@@ -264,11 +259,7 @@ def test_cograph_never_links_same_model_buckets():
 
 
 def _chain_graph(costs: dict[tuple, float], node_keys: list[tuple]) -> CostGraph:
-    return CostGraph(
-        bucket_width=0.1,
-        nodes={k: _node(*k) for k in node_keys},
-        arcs=costs,
-    )
+    return CostGraph(nodes={k: _node() for k in node_keys}, arcs=costs)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +396,7 @@ def test_neighborhoods_reject_bad_threshold(threshold):
 
 def _reference_entries(cost: CostGraph, threshold: float) -> dict:
     return {
-        key: consolidate((cost.nodes[k], d) for k, d in neigh.items())
+        key: consolidate(cost.nodes, neigh)
         for key, neigh in _per_node(cost, threshold).items()
     }
 
@@ -441,7 +432,7 @@ def test_64_model_build_matches_neighborhood_on_sampled_nodes():
     keys = sorted(cost.nodes)
     for key in keys[:: len(keys) // 10]:
         neigh = neighborhood(cost, key, pm.distance_threshold)
-        assert pm.entries[key] == consolidate((cost.nodes[k], d) for k, d in neigh.items())
+        assert pm.entries[key] == consolidate(cost.nodes, neigh)
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +440,24 @@ def test_64_model_build_matches_neighborhood_on_sampled_nodes():
 
 
 def test_consolidate_single_node_exact():
-    node = _node("a", 3, acc=0.62)
-    (pred,) = consolidate([(node, 0.0)])
+    (pred,) = consolidate({("a", 3): _node(acc=0.62)}, {("a", 3): 0.0})
     assert pred.model == "a"
     assert pred.accuracy == 0.62
     assert pred.distance == 0.0
 
 
+def test_consolidate_names_each_prediction_by_its_node_key():
+    nodes = {("a", 1): _node(acc=0.3), ("b", 1): _node(acc=0.7)}
+    preds = consolidate(nodes, {("b", 1): 0.2, ("a", 1): 0.0})
+    assert [(p.model, p.accuracy, p.distance) for p in preds] == [
+        ("a", 0.3, 0.0),
+        ("b", 0.7, 0.2),
+    ]
+
+
 def test_consolidate_two_nodes_hand_value():
-    preds = consolidate([(_node("m", 1, acc=0.6), 0.1), (_node("m", 2, acc=0.4), 0.3)])
+    nodes = {("m", 1): _node(acc=0.6), ("m", 2): _node(acc=0.4)}
+    preds = consolidate(nodes, {("m", 1): 0.1, ("m", 2): 0.3})
     w1, w2 = 1 / (0.1 + EPSILON), 1 / (0.3 + EPSILON)
     expected = (0.6 * w1 + 0.4 * w2) / (w1 + w2)
     assert preds[0].accuracy == pytest.approx(expected, abs=1e-12)
@@ -466,20 +466,22 @@ def test_consolidate_two_nodes_hand_value():
 
 
 def test_consolidate_distance_zero_dominates():
-    preds = consolidate([(_node("m", 1, acc=0.9), 0.0), (_node("m", 2, acc=0.1), 0.5)])
+    nodes = {("m", 1): _node(acc=0.9), ("m", 2): _node(acc=0.1)}
+    preds = consolidate(nodes, {("m", 1): 0.0, ("m", 2): 0.5})
     assert preds[0].accuracy == pytest.approx(0.9, abs=1e-5)
 
 
 def test_consolidate_permutation_invariant():
-    items = [
-        (_node("a", 1, acc=0.3), 0.2),
-        (_node("a", 5, acc=0.9), 0.1),
-        (_node("b", 2, acc=0.5), 0.0),
-        (_node("a", 7, acc=0.6), 0.4),
-    ]
-    base = consolidate(items)
-    assert consolidate(items[::-1]) == base
-    assert consolidate([items[2], items[0], items[3], items[1]]) == base
+    nodes = {
+        ("a", 1): _node(0.3),
+        ("a", 5): _node(0.9),
+        ("b", 2): _node(0.5),
+        ("a", 7): _node(0.6),
+    }
+    items = list(zip(nodes, [0.2, 0.1, 0.0, 0.4]))
+    base = consolidate(nodes, dict(items))
+    assert consolidate(nodes, dict(items[::-1])) == base
+    assert consolidate(nodes, dict([items[2], items[0], items[3], items[1]])) == base
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +563,8 @@ def _predict_full_scan(pm, model: str, confidence: float):
     if (model, idx) not in pm.entries:
 
         def midpoint(i):
-            b = pm.nodes[(model, i)].bucket
-            return round((b.lo + b.hi) / 2.0, 9)
+            lo, hi = bucket_bounds(i, pm.bucket_width)
+            return round((lo + hi) / 2.0, 9)
 
         idx = min(populated, key=lambda i: (abs(midpoint(i) - confidence), i))
     return pm.entries[(model, idx)]
@@ -662,6 +664,14 @@ def test_prediction_map_graph_parameters_checked_at_load(demo_trace, field, valu
     doc[field] = value
     with pytest.raises(ValidationError, match=f"prediction map: '{field}' {value}"):
         prediction_map_from_dict(doc)
+
+
+def test_prediction_map_node_bounds_are_derived_not_loaded(demo_trace):
+    doc = prediction_map_to_dict(build_prediction_map(demo_trace))
+    written = json.dumps(doc)
+    for node in doc["nodes"]:
+        node["lo"], node["hi"] = -7.0, "ignored"
+    assert json.dumps(prediction_map_to_dict(prediction_map_from_dict(doc))) == written
 
 
 def test_raising_threshold_never_shrinks_neighborhoods(demo_trace):

@@ -11,6 +11,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from conftest import SCENARIOS, make_catalog, make_profile
 from odsched.catalog import (
     BoundingBox,
+    ModelProfile,
     builtin_catalog,
     catalog_from_dict,
     catalog_to_dict,
@@ -37,7 +39,9 @@ from odsched.confidence_graph import (
 )
 from odsched.errors import ValidationError, _json_number, json_float
 from odsched.images import GrayscaleImage, encode_inline
-from odsched.sim import gen_trace, scenario_from_dict
+from odsched.scheduler import Knobs
+from odsched.sim import ModelBehavior, gen_trace, scenario_from_dict
+from test_scheduler import _bootstrap_pm, _frameless_streams, make_pm
 
 WRONG = (None, True, 1, 1.5, "x", [], {})
 
@@ -182,6 +186,10 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"^catalog: energy_tolerance: must be a number, got True$"),
         ("catalog", ("profiles", 0, "avg_latency_s"), "0.1",
          r"^profiles\[0\]: avg_latency_s: must be a number, got '0.1'$"),
+        # A whole number too large for a float breaks the profile's rule.
+        pytest.param("catalog", ("profiles", 0, "memory_bytes"), 10**400,
+                     r"^profiles\[0\]: profile \(a, gpu\): memory_bytes must be finite and > 0$",
+                     id="catalog-memory_bytes-10**400"),
         ("scenario", ("segments", 0, "frames"), 2.7,
          r"^segments\[0\]: frames: must be an integer, got 2.7$"),
         ("scenario", ("width",), 64.9, r"^scenario: width: must be an integer, got 64.9$"),
@@ -222,6 +230,10 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"^entries\[0\]: distance: 0.6 outside \[0, 0.5\]$"),
         ("prediction map", ("arcs", 0, "cost"), 5.0, r"^arcs\[0\]: cost: 5.0 outside \[0, 1\]$"),
         ("prediction map", ("arcs", 0, "cost"), -0.5, r"^arcs\[0\]: cost: -0.5 outside \[0, 1\]$"),
+        # A node's bucket is one of the width's buckets, here 10 of 0.1.
+        ("prediction map", ("nodes", 0, "bucket"), 50, r"^nodes\[0\]: bucket 50 outside \[0, 10\)$"),
+        ("prediction map", ("nodes", 0, "bucket"), 10, r"^nodes\[0\]: bucket 10 outside \[0, 10\)$"),
+        ("prediction map", ("nodes", 0, "bucket"), -1, r"^nodes\[0\]: bucket -1 outside \[0, 10\)$"),
         # Each node, arc and entry appears once, and arcs and entries name
         # nodes of the map.
         ("prediction map", ("nodes", 1), _MAP["nodes"][0],
@@ -316,6 +328,31 @@ def test_trace_and_map_save_load_save_are_byte_identical(tmp_path_factory, scena
     assert first == second
 
 
+# Maps built in code, as the scheduler tests build them.
+@pytest.mark.parametrize(
+    "pm",
+    [
+        make_pm({"a": 0.7, "b": 0.5}),
+        # 3 * 0.1 is 0.30000000000000004; the written bounds are decimal.
+        make_pm({"a": 0.3, "b": 0.2, "c": 0.9}, bucket=3, cross_distance=0.25),
+        make_pm({"a": 0.6, "b": 0.4}, width=0.25, threshold=1.0, bucket=3),
+        _bootstrap_pm(),
+    ],
+    ids=["make_pm", "make_pm-bucket3", "make_pm-width0.25", "bootstrap"],
+)
+def test_hand_built_map_save_load_save_is_byte_identical(tmp_path, pm):
+    first, second = _saved_twice(save_prediction_map, load_prediction_map, pm, tmp_path / "m.json")
+    assert first == second
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(_frameless_streams())
+def test_frameless_stream_map_save_load_save_is_byte_identical(tmp_path_factory, stream):
+    path = tmp_path_factory.mktemp("round_trip") / "map.json"
+    first, second = _saved_twice(save_prediction_map, load_prediction_map, stream[1], path)
+    assert first == second
+
+
 def _outcome(call) -> tuple:
     """What `call()` returns, or the type and message of what it raises."""
     try:
@@ -332,6 +369,29 @@ def _three_box_checks(coords: tuple) -> None:
         raise ValueError(f"box coordinates must be non-negative, got {coords}")
     if coords[0] > coords[2] or coords[1] > coords[3]:
         raise ValueError(f"box corners out of order: {coords}")
+
+
+def _profile(**values) -> ModelProfile:
+    return replace(make_profile("a", "gpu", 0.1, 10.0), **values)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Knobs(10**400, 1, 1), r"^w_accuracy must be finite and non-negative, got 10{400}$"),
+        (lambda: _profile(avg_latency_s=10**400),
+         r"^profile \(a, gpu\): avg_latency_s must be finite and > 0$"),
+        (lambda: _profile(memory_bytes=10**400),
+         r"^profile \(a, gpu\): memory_bytes must be finite and > 0$"),
+        (lambda: replace(CATALOG, energy_tolerance=10**400),
+         r"^energy_tolerance must be finite and > 0$"),
+        (lambda: ModelBehavior(0.5, 10**400, 0.5, 0.1), r"^conf_sigma must be finite and >= 0$"),
+    ],
+    ids=["Knobs", "ModelProfile-latency", "ModelProfile-memory", "Catalog", "ModelBehavior"],
+)
+def test_an_int_too_large_for_a_float_breaks_the_constructor_rule(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # NaN, both infinities, -0.0, subnormals, the largest float, ints too large

@@ -18,7 +18,7 @@ from odsched.catalog import (
     DetectionOutcome,
     FrameRecord,
 )
-from odsched.confidence_graph import Bucket, GraphNode, Prediction, PredictionMap, predict
+from odsched.confidence_graph import GraphNode, Prediction, PredictionMap, predict
 from odsched.images import GrayscaleImage
 from odsched.scheduler import (
     Decision,
@@ -43,14 +43,7 @@ def make_pm(
 ) -> PredictionMap:
     """One populated bucket per model; every entry predicts all models."""
     models = sorted(model_accs)
-    nodes = {
-        (m, bucket): GraphNode(
-            bucket=Bucket(m, bucket, round(bucket * width, 9), round((bucket + 1) * width, 9)),
-            expected_accuracy=model_accs[m],
-            sample_count=1,
-        )
-        for m in models
-    }
+    nodes = {(m, bucket): GraphNode(model_accs[m], 1) for m in models}
     entries = {
         (m, bucket): tuple(
             Prediction(
@@ -615,26 +608,19 @@ def test_schedule_matches_full_similarity_schedule(stream):
 # bootstrap
 
 
+def _bootstrap_pm() -> PredictionMap:
+    """a populated at buckets 2 (acc .2) and 8 (acc .75); b at bucket 5 (.5)."""
+    accs = {("a", 2): 0.2, ("a", 8): 0.75, ("b", 5): 0.5}
+    nodes = {key: GraphNode(acc, 1) for key, acc in accs.items()}
+    entries = {key: (Prediction(key[0], acc, 0.0),) for key, acc in accs.items()}
+    return PredictionMap(0.1, 0.5, nodes, {}, entries)
+
+
 def test_bootstrap_seeds_from_top_bucket_and_scores():
     cat = make_catalog(
         [make_profile("a", "gpu", 0.10, 10.0), make_profile("b", "gpu", 0.01, 10.0)]
     )
-    # a populated at buckets 2 (acc .2) and 8 (acc .75); b at bucket 5 (.5)
-    width = 0.1
-    def node(m, i, acc):
-        return GraphNode(
-            bucket=Bucket(m, i, round(i * width, 9), round((i + 1) * width, 9)),
-            expected_accuracy=acc,
-            sample_count=1,
-        )
-    nodes = {("a", 2): node("a", 2, 0.2), ("a", 8): node("a", 8, 0.75), ("b", 5): node("b", 5, 0.5)}
-    entries = {
-        ("a", 2): (Prediction("a", 0.2, 0.0),),
-        ("a", 8): (Prediction("a", 0.75, 0.0),),
-        ("b", 5): (Prediction("b", 0.5, 0.0),),
-    }
-    pm = PredictionMap(bucket_width=width, distance_threshold=0.5, nodes=nodes, arcs={}, entries=entries)
-    state = SchedulerState(cat, pm, SchedulerConfig(knobs=Knobs(1.0, 0.0, 0.0)))
+    state = SchedulerState(cat, _bootstrap_pm(), SchedulerConfig(knobs=Knobs(1.0, 0.0, 0.0)))
     d = state.bootstrap()
     assert d.rescheduled and d.similarity == 0.0
     # seeds: a -> 0.75 (top bucket 8), b -> 0.5
@@ -961,7 +947,7 @@ def _frameless_streams(draw):
     nodes, entries = {}, {}
     for m in models:
         for i in draw(st.sets(st.integers(0, 3), min_size=1)):
-            nodes[(m, i)] = GraphNode(Bucket(m, i, i * width, (i + 1) * width), 0.5, 1)
+            nodes[(m, i)] = GraphNode(0.5, 1)
             # The node's own model, others, and at least one profiled model.
             named = {m, draw(st.sampled_from(profiled)), *draw(st.sets(st.sampled_from(models)))}
             entries[(m, i)] = tuple(
@@ -1025,3 +1011,4 @@ def test_valid_set_soundness_randomized():
         chosen = best_pair(score_candidates(averages, valid, costs, knobs))
         if max(averages.values()) >= threshold:
             assert averages[chosen[0]] >= threshold
+
