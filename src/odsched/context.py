@@ -26,6 +26,11 @@ Any other pair follows the first formula in float64.  A float64 image is
 centred when its stats are built.  An 8-bit image paired with a float64
 one is centred on S / n, which equals ``np.mean``'s result bit for bit
 because S is exact.
+
+A box term compares two boxes' crops, each resampled to one square patch.
+A stream's previous patch is the one its previous box term built as the
+current patch, so a :class:`LastPatch` keeps that one and
+:func:`bbox_similarity` reuses it instead of building it again.
 """
 
 from __future__ import annotations
@@ -143,25 +148,54 @@ def _resample_nearest(pixels: np.ndarray) -> np.ndarray:
     return pixels[(_ODD * height) >> 7][:, (_ODD * width) >> 7]
 
 
+class LastPatch:
+    """The last box patch one stream built: the frame and box it was cut
+    from, and its FrameStats (None for a zero-area crop).  It holds one
+    patch, so a stream keeps nothing more as it grows."""
+
+    __slots__ = ("frame", "box", "stats")
+
+    def __init__(self) -> None:
+        self.frame: GrayscaleImage | None = None
+        self.box: BoundingBox | None = None
+        self.stats: FrameStats | None = None
+
+
+def _patch(frame: GrayscaleImage, box: BoundingBox) -> FrameStats | None:
+    """FrameStats of the box's crop resampled to the common square patch,
+    or None for a zero-area crop; every box patch is built here."""
+    pixels = _crop(frame, box)
+    return FrameStats(_resample_nearest(pixels)) if pixels.size else None
+
+
 def bbox_similarity(
     prev_frame: GrayscaleImage,
     prev_box: BoundingBox,
     cur_frame: GrayscaleImage,
     cur_box: BoundingBox,
+    last: LastPatch | None = None,
 ) -> float:
     """NCC between the two box contents, resampled to a common square patch.
 
     Differently sized boxes are comparable after nearest-neighbor resampling.
     A zero-area box carries no content and scores 0.
+
+    Without `last` both patches are built here; this is the reference.  With
+    it, the previous patch is taken from `last` when `last` holds exactly
+    `prev_frame` and `prev_box` (the same objects), and the current patch
+    replaces it.  A patch depends only on its frame and box, so the value is
+    the same to the last bit either way.
     """
-    a = _crop(prev_frame, prev_box)
-    b = _crop(cur_frame, cur_box)
-    if a.size == 0 or b.size == 0:
+    if last is not None and last.frame is prev_frame and last.box is prev_box:
+        a = last.stats
+    else:
+        a = _patch(prev_frame, prev_box)
+    b = _patch(cur_frame, cur_box)
+    if last is not None:
+        last.frame, last.box, last.stats = cur_frame, cur_box, b
+    if a is None or b is None:
         return 0.0
-    return ncc_cached(
-        FrameStats(_resample_nearest(a)),
-        FrameStats(_resample_nearest(b)),
-    )
+    return ncc_cached(a, b)
 
 
 def similarity(

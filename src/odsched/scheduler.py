@@ -7,8 +7,11 @@ pair stays and nothing else runs.  No NCC that cannot change this outcome
 is computed: none when the confidence alone is below the threshold (the
 similarity is at most 1), and no frame NCC when the box NCC times the
 confidence is below it (the min is at most the box term).  Such a decision
-records its similarity as None.  Otherwise the confidence graph predicts
-every model's accuracy, the predictions are smoothed over a momentum window,
+records its similarity as None.  Each state keeps the last box patch it
+built, so a box term builds only the current detection's patch when the
+previous call built the previous one; each detection's patch is built at
+most once per stream.  Otherwise the confidence graph predicts every
+model's accuracy, the predictions are smoothed over a momentum window,
 the predicted models that have a profiled pair and meet the threshold form
 the valid set (falling back to all of them when none qualify), and every
 profiled (model, accelerator) pair from the valid set is scored:
@@ -40,7 +43,7 @@ from .catalog import BoundingBox, Catalog, ModelId, Pair
 from .confidence_graph import (
     Prediction, PredictionMap, bucket_count, check_distance_threshold, predict
 )
-from .context import FrameStats, bbox_similarity, ncc_cached
+from .context import FrameStats, LastPatch, bbox_similarity, ncc_cached
 from .errors import json_float, json_int
 from .images import GrayscaleImage
 
@@ -230,6 +233,9 @@ class SchedulerState:
         self._last_image: GrayscaleImage | None = None
         self._last_box: BoundingBox | None = None
         self._last_stats: FrameStats | None = None
+        # The last box patch this state built, which the next box term
+        # reuses when it compares against that same frame and box.
+        self._last_patch = LastPatch()
 
     def bootstrap(self) -> Decision:
         """Choose the starting pair before the first frame.
@@ -272,13 +278,16 @@ class SchedulerState:
             return None
         box_term = 0.0
         if box is not None and prev_box is not None:
+            patch = self._last_patch
             if memo is None:
-                box_term = bbox_similarity(prev, prev_box, frame, box)
+                box_term = bbox_similarity(prev, prev_box, frame, box, patch)
             else:
                 key: tuple = (prev, frame, prev_box, box)
                 box_term = memo.get(key)
                 if box_term is None:
-                    box_term = memo[key] = bbox_similarity(prev, prev_box, frame, box)
+                    box_term = memo[key] = bbox_similarity(
+                        prev, prev_box, frame, box, patch
+                    )
         if box_term * confidence < threshold:
             return None
         if memo is None:

@@ -266,14 +266,20 @@ def _check_overhead(
     they build any graph."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    # Bound every frame's latency and load time; NaN and infinity fail too.
+    # Bound every frame's latency and load time.  The chained test fails a
+    # NaN, infinite or negative overhead and an int above the largest float.
+    # Profiles bound their own terms the same way, so no float() below
+    # overflows, and a sum too large for a float reaches infinity and fails.
     profiles = catalog.profiles.values()
-    frame_bound_s = (
-        overhead_s
-        + max((p.avg_latency_s for p in profiles), default=0.0)
-        + max((p.load_time_s for p in profiles), default=0.0)
+    terms = (
+        overhead_s,
+        max((p.avg_latency_s for p in profiles), default=0.0),
+        max((p.load_time_s for p in profiles), default=0.0),
     )
-    if not (overhead_s >= 0.0 and math.isfinite(len(trace) * frame_bound_s)):
+    if not (
+        0 <= overhead_s <= sys.float_info.max
+        and len(trace) * sum(map(float, terms)) <= sys.float_info.max
+    ):
         raise ValueError(
             f"scheduler overhead {overhead_s} must be finite and >= 0, and "
             f"{len(trace)} frames of it plus the catalog's largest avg_latency_s "

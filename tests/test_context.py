@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import odsched
+from odsched import context
 from odsched.catalog import BoundingBox
 from odsched.context import (
     FrameStats,
+    LastPatch,
     _crop,
     _resample_nearest,
     bbox_similarity,
@@ -326,6 +329,91 @@ def test_box_outside_frame_rejected():
     img = _random_image(np.random.default_rng(12), 16, 16)
     with pytest.raises(ValueError, match="outside"):
         bbox_similarity(img, BoundingBox(0, 0, 20, 20), img, BoundingBox(0, 0, 8, 8))
+
+
+# 8-bit frames of three sizes and one constant frame; a box that fits the
+# largest may lie outside a smaller one.
+_PATCH_FRAMES = tuple(
+    GrayscaleImage(np.random.default_rng(30 + i).integers(0, 256, shape, dtype=np.uint8))
+    for i, shape in enumerate(((48, 80), (96, 130), (70, 70)))
+) + (GrayscaleImage(np.full((96, 130), 9, dtype=np.uint8)),)
+
+
+@st.composite
+def _patch_boxes(draw) -> BoundingBox:
+    """A box in quarter pixels within 130x96: narrower or shorter than the
+    patch (upsampled), wider or taller (downsampled), or of zero area."""
+    def span(limit: int) -> tuple[float, float]:
+        lo = draw(st.integers(0, 4 * limit)) / 4
+        size = draw(st.one_of(st.just(0), st.integers(1, 4 * limit))) / 4
+        return lo, min(lo + size, limit)
+
+    (x0, x1), (y0, y1) = span(130), span(96)
+    return BoundingBox(x0, y0, x1, y1)
+
+
+# How a call passes the previous detection: as the objects the last call
+# took, as an equal copy of its box or frame, or with its box on another
+# frame, which the kept patch must not stand in for.
+_PREVIOUS = ("same", "box copy", "frame copy", "other frame")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(
+    st.tuples(st.integers(0, len(_PATCH_FRAMES) - 1), _patch_boxes(), st.sampled_from(_PREVIOUS)),
+    min_size=2, max_size=10,
+))
+def test_kept_patch_chain_matches_four_argument_calls(chain):
+    # Each call compares the previous detection with the current one, as the
+    # scheduler does, and must equal the 4-argument call on the same
+    # arguments to the last bit, or raise as it does.
+    last = LastPatch()
+    prev_index, prev_box = chain[0][0], chain[0][1]
+    for index, box, previous in chain[1:]:
+        frame = _PATCH_FRAMES[index]
+        p_frame, p_box = _PATCH_FRAMES[prev_index], prev_box
+        if previous == "box copy":
+            p_box = replace(prev_box)
+        elif previous == "frame copy":
+            p_frame = GrayscaleImage(p_frame.pixels.copy())
+        elif previous == "other frame":
+            p_frame = _PATCH_FRAMES[(prev_index + 1) % len(_PATCH_FRAMES)]
+        try:
+            want = bbox_similarity(p_frame, p_box, frame, box)
+        except ValueError:
+            with pytest.raises(ValueError, match="outside"):
+                bbox_similarity(p_frame, p_box, frame, box, last)
+        else:
+            got = bbox_similarity(p_frame, p_box, frame, box, last)
+            assert got.hex() == want.hex()
+            assert last.frame is frame and last.box is box
+        prev_index, prev_box = index, box
+
+
+def test_kept_patch_is_read_only_for_the_same_frame_and_box(monkeypatch):
+    built = []
+    real = context._patch
+    monkeypatch.setattr(context, "_patch", lambda f, b: built.append(b) or real(f, b))
+    f1, f2, f3 = _PATCH_FRAMES[:3]
+    b1, b2, b3 = BoundingBox(0, 0, 20, 10), BoundingBox(5, 5, 45, 40), BoundingBox(1, 2, 70, 69)
+    last = LastPatch()
+    calls = [
+        ((f1, b1, f2, b2), 2),
+        ((f2, b2, f3, b3), 1),
+        ((f3, replace(b3), f1, b1), 2),  # an equal box, not the kept one
+        ((f1, b1, f2, b2), 1),
+    ]
+    for args, builds in calls:
+        before = len(built)
+        assert bbox_similarity(*args, last) == bbox_similarity(*args)
+        assert len(built) - before == 2 + builds
+    # Right after a reused patch, a current box outside its frame still
+    # raises, and the kept patch stays the last one built.
+    bad = BoundingBox(0, 0, 90, 60)
+    with pytest.raises(ValueError, match="outside"):
+        bbox_similarity(f2, b2, f3, bad, last)
+    assert last.frame is f2 and last.box is b2
+    assert bbox_similarity(f2, b2, f1, b1, last) == bbox_similarity(f2, b2, f1, b1)
 
 
 # ---------------------------------------------------------------------------

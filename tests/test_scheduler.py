@@ -526,6 +526,78 @@ def test_each_frame_is_centred_at_most_once(builtin, demo_trace, monkeypatch, me
         assert per_call == [1] * len(demo_trace)
 
 
+def _count_patch_builds(monkeypatch) -> list:
+    """Patch `context._patch`, the one box-patch builder, to record the
+    (frame, box) of every patch it builds into the returned list."""
+    from odsched import context
+
+    built = []
+    real = context._patch
+
+    def counting(frame, box):
+        built.append((frame, box))
+        return real(frame, box)
+
+    monkeypatch.setattr(context, "_patch", counting)
+    return built
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+def test_box_term_builds_only_the_patches_it_lacks(monkeypatch, memo):
+    # At threshold 0.25: confidence 0.1 skips the box term, and so does a
+    # missing box on either side; a call without a frame leaves the kept
+    # patch for the next call.
+    built = _count_patch_builds(monkeypatch)
+    _, _, state = _two_model_setup()
+    state.memo = memo
+    box, other = BoundingBox(2, 2, 14, 14), BoundingBox(6, 4, 20, 18)
+    calls = [
+        (_image(30), box, 0.9, 0),  # no previous frame
+        (_image(31), box, 0.9, 2),  # the previous patch was never built
+        (_image(32), other, 0.9, 1),  # the previous call built it
+        (None, None, 0.9, 0),
+        (_image(33), box, 0.9, 1),  # still kept across the frameless call
+        (_image(34), box, 0.1, 0),  # confidence below the threshold
+        (_image(35), other, 0.9, 2),
+        (_image(36), None, 0.9, 0),  # no box
+        (_image(37), box, 0.9, 0),  # no previous box
+        (_image(38), box, 0.9, 2),
+    ]
+    for image, detection, confidence, builds in calls:
+        before = len(built)
+        schedule(state, ("a", "gpu"), confidence, image, detection)
+        assert len(built) - before == builds
+
+
+@pytest.mark.parametrize("memo", [None, {}])
+def test_each_detection_patch_is_built_at_most_once(builtin, demo_trace, monkeypatch, memo):
+    from odsched.confidence_graph import build_prediction_map
+
+    built = _count_patch_builds(monkeypatch)
+    state = SchedulerState(builtin, build_prediction_map(demo_trace), memo=memo)
+    pair = state.bootstrap().pair
+    threshold = state.config.accuracy_threshold
+    last_box, last_built = None, False
+    computed = 0
+    for fr in demo_trace.frames:
+        out = fr.per_model.get(pair[0])
+        conf = out.confidence if out is not None else 0.0
+        box = out.box if out is not None else None
+        before = len(built)
+        pair = schedule(state, pair, conf, fr.frame, box).pair
+        new = built[before:]
+        if last_box is None or box is None or conf < threshold:
+            assert new == []
+        else:
+            computed += 1
+            assert len(new) == (1 if last_built else 2)
+            assert new[-1][0] is fr.frame and new[-1][1] is box
+        last_box, last_built = box, bool(new)
+    assert computed > 0
+    keys = [(id(frame), id(box)) for frame, box in built]
+    assert len(set(keys)) == len(keys)
+
+
 def _full_similarity_schedule(state, last, pair, confidence, frame, box):
     """`schedule` computing both context terms on every frame, through
     `context.similarity`; `last` holds the previous frame and its box."""

@@ -150,12 +150,34 @@ def test_shift_charges_overhead_as_time_only(builtin, demo_trace):
     assert loaded.avg_energy_j == base.avg_energy_j
 
 
-@pytest.mark.parametrize("overhead", [-0.001, float("nan"), float("inf"), 1e308])
-def test_negative_or_non_finite_overhead_rejected(builtin, demo_trace, overhead):
+def _int_latency_catalog(catalog):
+    """`catalog` with int load times of 0 and one int latency of 10**308,
+    whose sum over 300 frames is too large for a float."""
+    profiles = {p: replace(prof, load_time_s=0) for p, prof in catalog.profiles.items()}
+    pair = min(profiles)
+    profiles[pair] = replace(
+        profiles[pair], avg_latency_s=10**308, avg_power_w=1, avg_energy_j=10**308
+    )
+    return replace(catalog, profiles=profiles)
+
+
+@pytest.mark.parametrize(
+    ("overhead", "int_latency"),
+    [
+        (-0.001, False),
+        (float("nan"), False),
+        (float("inf"), False),
+        (1e308, False),
+        (10**400, False),  # an int above the largest float
+        (0, True),  # all-int terms whose total exceeds a float
+    ],
+)
+def test_negative_or_non_finite_overhead_rejected(builtin, demo_trace, overhead, int_latency):
+    catalog = _int_latency_catalog(builtin) if int_latency else builtin
     with pytest.raises(ValueError, match="overhead"):
-        run(demo_trace, builtin, Policy.shift(), scheduler_overhead_s=overhead)
+        run(demo_trace, catalog, Policy.shift(), scheduler_overhead_s=overhead)
     with pytest.raises(ValueError, match="overhead"):
-        sweep(demo_trace, builtin, {"momentum": [30]}, scheduler_overhead_s=overhead)
+        sweep(demo_trace, catalog, {"momentum": [30]}, scheduler_overhead_s=overhead)
 
 
 def test_sweep_checks_the_overhead_before_any_graph_build(builtin, demo_trace, monkeypatch):
