@@ -38,7 +38,7 @@ from .confidence_graph import (
     predict,
     save_prediction_map,
 )
-from .context import bbox_similarity, ncc, similarity
+from .context import LastPatch, bbox_similarity
 from .errors import CatalogError, ScenarioError, TraceError, ValidationError
 from .images import GrayscaleImage, read_pgm, write_pgm
 from .loader import AcceleratorMemory, LoadOutcome
@@ -48,11 +48,9 @@ from .scheduler import (
     NormalizedCosts,
     SchedulerConfig,
     SchedulerState,
-    best_pair,
     normalize_costs,
     schedule,
     update_momentum,
-    valid_set,
 )
 from .sim import (
     FrameResult,

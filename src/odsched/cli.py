@@ -19,6 +19,7 @@ from . import sim
 from .catalog import Catalog, builtin_catalog, load_catalog, load_trace, save_trace
 from .confidence_graph import (
     build_prediction_map,
+    check_min_samples,
     load_prediction_map,
     save_prediction_map,
 )
@@ -67,8 +68,7 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     # Checks all three values before any I/O.
     config = SchedulerConfig(bucket_width=args.bucket_width,
                              distance_threshold=args.distance_threshold)
-    if args.min_samples < 1:
-        raise ValidationError(f"min_samples {args.min_samples} must be >= 1")
+    check_min_samples(args.min_samples)
     catalog = _resolve_catalog(args.catalog)
     trace = _resolve_trace(args.trace, catalog)
     pm = build_prediction_map(trace, config.bucket_width, config.distance_threshold,

@@ -122,6 +122,12 @@ def check_distance_threshold(threshold: float, name: str = "distance threshold")
         raise ValueError(f"{name} {threshold} must be finite and >= 0")
 
 
+def check_min_samples(min_samples: int) -> None:
+    """The one statement of the `min_samples` rule."""
+    if min_samples < 1:
+        raise ValueError(f"min_samples {min_samples} must be >= 1")
+
+
 def bucket_index(confidence: float, bucket_width: float) -> int:
     """Index of the half-open bucket containing `confidence`.
 
@@ -314,8 +320,7 @@ def build_prediction_map(
     min_samples: int = 1,
 ) -> PredictionMap:
     """Run all stages over a trace and compile the runtime lookup map."""
-    if min_samples < 1:
-        raise ValueError(f"min_samples {min_samples} must be >= 1")
+    check_min_samples(min_samples)
     cograph = prune_sparse_nodes(build_cograph(trace, bucket_width), min_samples)
     cost = normalize_invert(cograph)
     entries = {

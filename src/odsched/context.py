@@ -53,11 +53,6 @@ PATCH_SIZE = 64
 _ODD = 2 * np.arange(PATCH_SIZE) + 1
 
 
-def ncc(p: GrayscaleImage, c: GrayscaleImage) -> float:
-    """Normalized cross-correlation of two same-size images, in [-1, 1]."""
-    return ncc_cached(FrameStats(p.pixels), FrameStats(c.pixels))
-
-
 class FrameStats:
     """What :func:`ncc_cached` needs of one 2-D pixel array.
 
@@ -173,45 +168,24 @@ def bbox_similarity(
     prev_box: BoundingBox,
     cur_frame: GrayscaleImage,
     cur_box: BoundingBox,
-    last: LastPatch | None = None,
+    last: LastPatch,
 ) -> float:
     """NCC between the two box contents, resampled to a common square patch.
 
     Differently sized boxes are comparable after nearest-neighbor resampling.
     A zero-area box carries no content and scores 0.
 
-    Without `last` both patches are built here; this is the reference.  With
-    it, the previous patch is taken from `last` when `last` holds exactly
+    `last` stands in for the previous patch when it holds exactly
     `prev_frame` and `prev_box` (the same objects), and the current patch
-    replaces it.  A patch depends only on its frame and box, so the value is
-    the same to the last bit either way.
+    replaces it.  A patch depends only on its frame and box, so a fresh
+    `LastPatch()`, which builds both, gives the same value to the last bit.
     """
-    if last is not None and last.frame is prev_frame and last.box is prev_box:
+    if last.frame is prev_frame and last.box is prev_box:
         a = last.stats
     else:
         a = _patch(prev_frame, prev_box)
     b = _patch(cur_frame, cur_box)
-    if last is not None:
-        last.frame, last.box, last.stats = cur_frame, cur_box, b
+    last.frame, last.box, last.stats = cur_frame, cur_box, b
     if a is None or b is None:
         return 0.0
     return ncc_cached(a, b)
-
-
-def similarity(
-    prev_frame: GrayscaleImage,
-    cur_frame: GrayscaleImage,
-    prev_box: BoundingBox | None = None,
-    cur_box: BoundingBox | None = None,
-) -> float:
-    """min(frame NCC, box NCC); a missing box zeroes the box term.
-
-    The min forces the score down when either the scene or the detection
-    became unstable, which is what triggers rescheduling.
-    """
-    frame_term = ncc(prev_frame, cur_frame)
-    if prev_box is None or cur_box is None:
-        box_term = 0.0
-    else:
-        box_term = bbox_similarity(prev_frame, prev_box, cur_frame, cur_box)
-    return min(frame_term, box_term)

@@ -26,9 +26,7 @@ selects the winner.
 
 Each state computes the weighted energy and latency terms of every profiled
 pair once, so the full pass filters the valid models, scores their pairs and
-takes the argmax in one loop.  `valid_set`, `score_candidates` and
-`best_pair` spell out the same steps one at a time; they are the reference
-that pass is tested against.
+takes the argmax in one loop; the tests replay it against a naive copy.
 """
 
 from __future__ import annotations
@@ -149,14 +147,6 @@ def normalize_costs(catalog: Catalog) -> NormalizedCosts:
     )
 
 
-def valid_set(averages: Mapping[ModelId, float], threshold: float) -> set[ModelId]:
-    """Models whose averaged prediction meets the threshold; all if none do."""
-    if not averages:
-        raise ValueError("no averaged predictions to filter")
-    valid = {m for m, r in averages.items() if r >= threshold}
-    return valid if valid else set(averages)
-
-
 def update_momentum(
     buffers: dict[ModelId, deque[float]],
     predictions: tuple[Prediction, ...],
@@ -171,31 +161,6 @@ def update_momentum(
         buf.append(pred.accuracy)
         averages[pred.model] = sum(buf) / len(buf)
     return averages
-
-
-def score_candidates(
-    averages: Mapping[ModelId, float],
-    valid: set[ModelId],
-    costs: NormalizedCosts,
-    knobs: Knobs,
-) -> dict[Pair, float]:
-    """Score each valid model's pairs, in the (sorted) pair order of `costs`."""
-    w_a, w_e, w_l = knobs.w_accuracy, knobs.w_energy, knobs.w_latency
-    latency = costs.latency_score
-    scores: dict[Pair, float] = {}
-    for pair, energy in costs.energy_score.items():
-        model = pair[0]
-        if model in valid and model in averages:
-            scores[pair] = averages[model] * w_a + energy * w_e + latency[pair] * w_l
-    return scores
-
-
-def best_pair(scores: Mapping[Pair, float]) -> Pair:
-    """Argmax with deterministic ties: lexicographic (model, accelerator)."""
-    if not scores:
-        raise ValueError("no candidate pairs to choose from")
-    top = max(scores.values())
-    return min(p for p, s in scores.items() if s == top)
 
 
 class SchedulerState:
@@ -213,7 +178,7 @@ class SchedulerState:
         self.config = config if config is not None else SchedulerConfig()
         # Each profiled model's (pair, weighted energy, weighted latency), in
         # sorted pair order.  The two products stay apart: a score adds them
-        # in `score_candidates`' order, so it rounds the same.
+        # in the order of the docstring's formula, so it rounds the same.
         costs = normalize_costs(catalog)
         knobs = self.config.knobs
         latency = costs.latency_score

@@ -16,7 +16,15 @@ from odsched.catalog import (
     ModelProfile,
     builtin_catalog,
 )
-from odsched.confidence_graph import CostGraph, build_cograph, normalize_invert
+from odsched.confidence_graph import (
+    CostGraph,
+    GraphNode,
+    Prediction,
+    PredictionMap,
+    build_cograph,
+    normalize_invert,
+)
+from odsched.scheduler import Knobs, SchedulerConfig, SchedulerState
 from odsched.sim import ModelBehavior, Scenario, Segment, demo_scenario, gen_trace
 
 
@@ -62,6 +70,68 @@ def make_catalog(
         compatibility=frozenset(p.pair for p in profiles),
         profiles={p.pair: p for p in profiles},
     )
+
+
+def make_pm(
+    model_accs: dict[str, float],
+    width: float = 0.1,
+    threshold: float = 0.5,
+    bucket: int = 5,
+    cross_distance: float = 0.1,
+) -> PredictionMap:
+    """One populated bucket per model; every entry predicts all models."""
+    models = sorted(model_accs)
+    nodes = {(m, bucket): GraphNode(model_accs[m], 1) for m in models}
+    entries = {
+        (m, bucket): tuple(
+            Prediction(
+                model=o,
+                accuracy=model_accs[o],
+                distance=0.0 if o == m else cross_distance,
+            )
+            for o in models
+        )
+        for m in models
+    }
+    return PredictionMap(
+        bucket_width=width,
+        distance_threshold=threshold,
+        nodes=nodes,
+        arcs={},
+        entries=entries,
+    )
+
+
+def two_model_setup(threshold=0.25, knobs=Knobs(1.0, 0.0, 0.0), accs=None):
+    """Model a on cpu and gpu, b on gpu only; a predicted at .7, b at .5."""
+    cat = make_catalog(
+        [
+            make_profile("a", "cpu", 0.10, 10.0),
+            make_profile("a", "gpu", 0.10, 10.0),
+            make_profile("b", "gpu", 0.01, 10.0),
+        ]
+    )
+    pm = make_pm(accs or {"a": 0.7, "b": 0.5})
+    cfg = SchedulerConfig(knobs=knobs, accuracy_threshold=threshold)
+    return cat, pm, SchedulerState(cat, pm, cfg)
+
+
+def evicting_case() -> tuple[Scenario, Catalog, SchedulerConfig]:
+    """Five contexts, each favouring one of models a, b and c, and a gpu
+    that holds two of them; a shift replay under the config evicts."""
+    good, poor = ModelBehavior(0.9, 0.02, 0.8, 0.02), ModelBehavior(0.1, 0.02, 0.1, 0.02)
+    segments = tuple(
+        Segment(20, {m: good if m == best else poor for m in "abc"}, texture_seed=i)
+        for i, best in enumerate("abcab")
+    )
+    loads = {"a": (0.25, 1.0), "b": (0.5, 2.0), "c": (0.75, 3.0)}
+    catalog = make_catalog(
+        [make_profile(m, "gpu", 0.1, 1.0, memory=10, load_time=t, load_energy=e)
+         for m, (t, e) in loads.items()],
+        capacities={"gpu": 20},
+    )
+    config = SchedulerConfig(knobs=Knobs(1, 0, 0), momentum=3)
+    return Scenario(segments, width=16, height=16), catalog, config
 
 
 def make_trace(rows: list[dict[str, tuple[float, float]]]) -> CharacterizationTrace:

@@ -16,8 +16,10 @@ import pytest
 from conftest import (
     brute_force_neighborhood,
     make_catalog,
+    make_pm,
     make_profile,
     random_cost_graph,
+    two_model_setup,
 )
 from odsched.catalog import BoundingBox, builtin_catalog
 from odsched.cli import main as cli_main
@@ -27,17 +29,14 @@ from odsched.confidence_graph import (
     build_prediction_map,
     neighborhood,
 )
-from odsched.context import ncc
 from odsched.images import GrayscaleImage
 from odsched.loader import AcceleratorMemory
 from odsched.scheduler import (
     Knobs,
     SchedulerConfig,
     SchedulerState,
-    best_pair,
     normalize_costs,
     schedule,
-    score_candidates,
 )
 from odsched.sim import (
     Policy,
@@ -48,6 +47,7 @@ from odsched.sim import (
     sweep,
     sweep_correlations,
 )
+from reference import ListLRU, best_pair, ncc, score_candidates, valid_set
 
 
 def _passed(n: int, detail: str) -> None:
@@ -130,10 +130,8 @@ def test_criterion_02_graph_oracle_equivalence():
 
 @criterion(3)
 def test_criterion_03_scheduling_conformance():
-    from test_scheduler import _two_model_setup, make_pm  # hand fixtures live there
-
     # early-exit branch: s*c over threshold keeps the pair untouched
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     img = GrayscaleImage(np.random.default_rng(0).integers(0, 256, (32, 32)).astype(float))
     box = BoundingBox(4, 4, 20, 20)
     first = schedule(state, ("a", "gpu"), 0.9, img, box)
@@ -141,18 +139,18 @@ def test_criterion_03_scheduling_conformance():
     assert not d.rescheduled and d.pair == first.pair and d.scores == {}
 
     # valid-set filter: threshold 0.6 admits only a (R = .7 vs .5)
-    _, _, state = _two_model_setup(threshold=0.6, knobs=Knobs(1, 1, 1))
+    _, _, state = two_model_setup(threshold=0.6, knobs=Knobs(1, 1, 1))
     d = schedule(state, ("a", "gpu"), 0.1)
     assert d.pair[0] == "a" and all(p[0] == "a" for p in d.scores)
 
     # empty-valid-set fallback: nobody meets 0.9, all models scored
-    _, _, state = _two_model_setup(threshold=0.9, knobs=Knobs(0, 1, 1))
+    _, _, state = two_model_setup(threshold=0.9, knobs=Knobs(0, 1, 1))
     d = schedule(state, ("a", "gpu"), 0.1)
     assert set(d.scores) == {("a", "cpu"), ("a", "gpu"), ("b", "gpu")}
     assert d.pair == ("b", "gpu")
 
     # argmax selection with hand-computed scores
-    _, _, state = _two_model_setup(knobs=Knobs(1, 0, 0))
+    _, _, state = two_model_setup(knobs=Knobs(1, 0, 0))
     d = schedule(state, ("a", "gpu"), 0.1)
     assert d.scores[("a", "cpu")] == pytest.approx(0.7)
     assert d.scores[("b", "gpu")] == pytest.approx(0.5)
@@ -185,7 +183,7 @@ def test_criterion_03_scheduling_conformance():
         cat = make_catalog(profiles)
         costs = normalize_costs(cat)
         averages = {m: float(rng.uniform(0, 1)) for m in models}
-        valid = set(models)
+        valid = valid_set(averages, 1.0)  # every model, as in the full pass
 
         knobs = Knobs(*(float(rng.uniform(0.01, 2.0)) for _ in range(3)))
         lam = float(rng.uniform(0.1, 10.0))
@@ -226,26 +224,12 @@ def test_criterion_04_lru_laws():
         ],
         capacities={"gpu": capacity},
     )
-    mem = AcceleratorMemory("gpu", cat)
-    recency: list[str] = []
+    mem, ref = AcceleratorMemory("gpu", cat), ListLRU(cat, "gpu")
     for _ in range(10_000):
         model = f"m{rng.integers(0, 8)}"
-        out = mem.request(model)
-        if model in recency:
-            assert out.kind == "hit"
-            assert out.time_cost_s == 0.0 and out.energy_cost_j == 0.0
-            recency.remove(model)
-        else:
-            used = sum(sizes[m] for m in recency)
-            expected_victims = []
-            while used + sizes[model] > capacity:
-                victim = recency.pop(0)
-                expected_victims.append(victim)
-                used -= sizes[victim]
-            assert list(out.evicted) == expected_victims
-        recency.append(model)
+        assert mem.request(model) == ref.request(model)
         assert mem.used_bytes <= capacity
-        assert mem.resident == tuple(recency)
+        assert mem.resident == tuple(ref.residents)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _passed(4, f"10000 requests, capacity never exceeded, {elapsed:.2f} s")

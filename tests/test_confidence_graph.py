@@ -33,6 +33,7 @@ from odsched.confidence_graph import (
 )
 from odsched.errors import ValidationError
 from odsched.sim import gen_trace
+import reference
 
 # ---------------------------------------------------------------------------
 # buckets
@@ -317,10 +318,6 @@ def test_neighborhood_monotone_in_threshold():
 # every neighborhood in one call
 
 
-def _per_node(cg: CostGraph, threshold: float) -> dict:
-    return {start: neighborhood(cg, start, threshold) for start in cg.nodes}
-
-
 def test_neighborhoods_match_neighborhood_random():
     from conftest import random_cost_graph
 
@@ -328,7 +325,7 @@ def test_neighborhoods_match_neighborhood_random():
     for _ in range(60):
         cg = random_cost_graph(rng)
         for threshold in (0.0, 0.2, 0.5, 0.9, 3.0):
-            assert _neighborhoods(cg, threshold) == _per_node(cg, threshold)
+            assert _neighborhoods(cg, threshold) == reference.neighborhoods(cg, threshold)
 
 
 _A, _B, _C, _D = ("a", 0), ("b", 0), ("c", 0), ("d", 0)
@@ -383,7 +380,7 @@ _A, _B, _C, _D = ("a", 0), ("b", 0), ("c", 0), ("d", 0)
 def test_neighborhoods_hand_built(arcs, keys, threshold, expected):
     cg = _chain_graph(arcs, keys)
     assert _neighborhoods(cg, threshold) == expected
-    assert _per_node(cg, threshold) == expected
+    assert reference.neighborhoods(cg, threshold) == expected
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 10**400])
@@ -392,13 +389,6 @@ def test_neighborhoods_reject_bad_threshold(threshold):
     message = rf"^distance threshold {re.escape(str(threshold))} must be finite and >= 0$"
     with pytest.raises(ValueError, match=message):
         _neighborhoods(cg, threshold)
-
-
-def _reference_entries(cost: CostGraph, threshold: float) -> dict:
-    return {
-        key: consolidate(cost.nodes, neigh)
-        for key, neigh in _per_node(cost, threshold).items()
-    }
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -413,9 +403,8 @@ def test_build_entries_equal_per_node_neighborhood(
     scenario, seed, width, threshold, min_samples
 ):
     trace = gen_trace(replace(scenario, emit_frames=False), seed)
-    cost = normalize_invert(prune_sparse_nodes(build_cograph(trace, width), min_samples))
     pm = build_prediction_map(trace, width, threshold, min_samples)
-    assert pm.entries == _reference_entries(cost, threshold)
+    assert pm == reference.prediction_map(trace, width, threshold, min_samples)
 
 
 def test_64_model_build_matches_neighborhood_on_sampled_nodes():

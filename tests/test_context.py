@@ -22,11 +22,10 @@ from odsched.context import (
     _crop,
     _resample_nearest,
     bbox_similarity,
-    ncc,
     ncc_cached,
-    similarity,
 )
 from odsched.images import GrayscaleImage
+from reference import ncc, similarity
 
 
 def _random_image(rng: np.random.Generator, h: int = 16, w: int = 16) -> GrayscaleImage:
@@ -155,10 +154,10 @@ def test_uint8_ncc_is_the_correctly_rounded_exact_value(demo_trace):
         assert ncc_cached(FrameStats(p.pixels), FrameStats(c.pixels)) == r
         for a in boxes:
             for b in boxes:
-                r = bbox_similarity(p, a, c, b)
+                r = bbox_similarity(p, a, c, b, LastPatch())
                 patches = (_resample_nearest(_crop(p, a)), _resample_nearest(_crop(c, b)))
                 assert _is_correctly_rounded_ncc(r, *patches)
-                assert abs(r - bbox_similarity(pw, a, cw, b)) <= 1e-12
+                assert abs(r - bbox_similarity(pw, a, cw, b, LastPatch())) <= 1e-12
 
 
 def test_uint8_self_correlation_and_constant_rules_are_exact():
@@ -244,7 +243,7 @@ def test_uint8_frame_stats_hold_exact_integer_sums(pixels):
 
 _NCC_BITS_CHILD = """
 import numpy as np
-from odsched.context import bbox_similarity, ncc
+from odsched.context import FrameStats, LastPatch, bbox_similarity, ncc_cached
 from odsched.sim import ModelBehavior, Scenario, Segment, gen_trace
 
 behavior = {"m": ModelBehavior(0.8, 0.05, 0.7, 0.05)}
@@ -252,8 +251,9 @@ scenario = Scenario((Segment(6, behavior), Segment(6, behavior)), width=320, hei
 frames = gen_trace(scenario, 5).frames
 assert all(fr.frame.pixels.dtype == np.uint8 for fr in frames)
 for p, c in zip(frames, frames[1:]):
-    print(ncc(p.frame, c.frame).hex(),
-          bbox_similarity(p.frame, p.ground_truth, c.frame, c.ground_truth).hex())
+    frame_term = ncc_cached(FrameStats(p.frame.pixels), FrameStats(c.frame.pixels))
+    box_term = bbox_similarity(p.frame, p.ground_truth, c.frame, c.ground_truth, LastPatch())
+    print(frame_term.hex(), box_term.hex())
 """
 
 
@@ -302,7 +302,7 @@ def test_resample_integer_indices_match_float_formula():
 def test_same_frame_same_box_is_one():
     img = _random_image(np.random.default_rng(8), 32, 32)
     box = BoundingBox(4, 4, 20, 20)
-    assert bbox_similarity(img, box, img, box) == 1.0
+    assert bbox_similarity(img, box, img, box, LastPatch()) == 1.0
 
 
 def test_negated_crop_is_minus_one():
@@ -310,25 +310,29 @@ def test_negated_crop_is_minus_one():
     frame = _random_image(rng, 40, 40)
     negated = GrayscaleImage(255.0 - frame.pixels)
     box = BoundingBox(5, 10, 25, 30)
-    assert bbox_similarity(frame, box, negated, box) == pytest.approx(-1.0, abs=1e-12)
+    r = bbox_similarity(frame, box, negated, box, LastPatch())
+    assert r == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_different_sized_boxes_are_comparable():
     rng = np.random.default_rng(10)
     frame = _random_image(rng, 64, 64)
-    r = bbox_similarity(frame, BoundingBox(0, 0, 32, 32), frame, BoundingBox(0, 0, 16, 16))
+    big, small = BoundingBox(0, 0, 32, 32), BoundingBox(0, 0, 16, 16)
+    r = bbox_similarity(frame, big, frame, small, LastPatch())
     assert -1.0 <= r <= 1.0
 
 
 def test_zero_area_box_scores_zero():
     img = _random_image(np.random.default_rng(11), 16, 16)
-    assert bbox_similarity(img, BoundingBox(3, 3, 3, 9), img, BoundingBox(0, 0, 8, 8)) == 0.0
+    flat, box = BoundingBox(3, 3, 3, 9), BoundingBox(0, 0, 8, 8)
+    assert bbox_similarity(img, flat, img, box, LastPatch()) == 0.0
 
 
 def test_box_outside_frame_rejected():
     img = _random_image(np.random.default_rng(12), 16, 16)
     with pytest.raises(ValueError, match="outside"):
-        bbox_similarity(img, BoundingBox(0, 0, 20, 20), img, BoundingBox(0, 0, 8, 8))
+        bbox_similarity(img, BoundingBox(0, 0, 20, 20), img, BoundingBox(0, 0, 8, 8),
+                        LastPatch())
 
 
 # 8-bit frames of three sizes and one constant frame; a box that fits the
@@ -363,10 +367,10 @@ _PREVIOUS = ("same", "box copy", "frame copy", "other frame")
     st.tuples(st.integers(0, len(_PATCH_FRAMES) - 1), _patch_boxes(), st.sampled_from(_PREVIOUS)),
     min_size=2, max_size=10,
 ))
-def test_kept_patch_chain_matches_four_argument_calls(chain):
+def test_kept_patch_chain_matches_fresh_patch_calls(chain):
     # Each call compares the previous detection with the current one, as the
-    # scheduler does, and must equal the 4-argument call on the same
-    # arguments to the last bit, or raise as it does.
+    # scheduler does, and must equal the call with a fresh LastPatch on the
+    # same arguments to the last bit, or raise as it does.
     last = LastPatch()
     prev_index, prev_box = chain[0][0], chain[0][1]
     for index, box, previous in chain[1:]:
@@ -379,7 +383,7 @@ def test_kept_patch_chain_matches_four_argument_calls(chain):
         elif previous == "other frame":
             p_frame = _PATCH_FRAMES[(prev_index + 1) % len(_PATCH_FRAMES)]
         try:
-            want = bbox_similarity(p_frame, p_box, frame, box)
+            want = bbox_similarity(p_frame, p_box, frame, box, LastPatch())
         except ValueError:
             with pytest.raises(ValueError, match="outside"):
                 bbox_similarity(p_frame, p_box, frame, box, last)
@@ -405,7 +409,7 @@ def test_kept_patch_is_read_only_for_the_same_frame_and_box(monkeypatch):
     ]
     for args, builds in calls:
         before = len(built)
-        assert bbox_similarity(*args, last) == bbox_similarity(*args)
+        assert bbox_similarity(*args, last) == bbox_similarity(*args, LastPatch())
         assert len(built) - before == 2 + builds
     # Right after a reused patch, a current box outside its frame still
     # raises, and the kept patch stays the last one built.
@@ -413,7 +417,7 @@ def test_kept_patch_is_read_only_for_the_same_frame_and_box(monkeypatch):
     with pytest.raises(ValueError, match="outside"):
         bbox_similarity(f2, b2, f3, bad, last)
     assert last.frame is f2 and last.box is b2
-    assert bbox_similarity(f2, b2, f1, b1, last) == bbox_similarity(f2, b2, f1, b1)
+    assert bbox_similarity(f2, b2, f1, b1, last) == bbox_similarity(f2, b2, f1, b1, LastPatch())
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +446,7 @@ def test_min_of_frame_and_box_terms():
     cur = GrayscaleImage(cur_px)
     box = BoundingBox(10, 10, 30, 30)
     frame_term = ncc(prev, cur)
-    box_term = bbox_similarity(prev, box, cur, box)
+    box_term = bbox_similarity(prev, box, cur, box, LastPatch())
     assert box_term == pytest.approx(-1.0, abs=1e-12)
     assert box_term < frame_term
     assert similarity(prev, cur, box, box) == box_term

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_catalog, make_profile
 from odsched.loader import AcceleratorMemory
+from reference import ListLRU
 
 GB = 10**9
 
@@ -155,40 +156,24 @@ def test_randomized_lru_laws_against_reference_model(capacity):
     ]
     cat = make_catalog(profiles, capacities={"gpu": capacity})
     mem = AcceleratorMemory("gpu", cat)
-
-    recency: list[str] = []  # oldest first, reference implementation
+    ref = ListLRU(cat, "gpu")
     # A prefill loads in priority order what fits, never evicting; the first
     # model always fits, so naming it again takes the already-resident path.
     priority = [f"m{i}" for i in rng.integers(0, 6, size=5)]
     priority.append(priority[0])
-    for model in priority:
-        if model not in recency and sum(sizes[m] for m in recency) + sizes[model] <= capacity:
-            recency.append(model)
-    assert mem.prefill(priority) == set(recency)
-    assert mem.resident == tuple(recency)
+    assert mem.prefill(priority) == ref.prefill(priority)
+    assert mem.resident == tuple(ref.residents)
     total_time = 0.0
     loads = 0
     for _ in range(3000):
         model = f"m{rng.integers(0, 6)}"
-        expected_hit = model in recency
         out = mem.request(model)
-        if expected_hit:
-            assert out.kind == "hit" and out.time_cost_s == 0.0
-            recency.remove(model)
-            recency.append(model)
-        else:
+        assert out == ref.request(model)
+        if out.kind != "hit":
             loads += 1
             total_time += out.time_cost_s
-            expected_evictions = []
-            used = sum(sizes[m] for m in recency)
-            while used + sizes[model] > capacity:
-                victim = recency.pop(0)
-                expected_evictions.append(victim)
-                used -= sizes[victim]
-            assert list(out.evicted) == expected_evictions
-            recency.append(model)
         assert mem.used_bytes <= capacity
-        assert mem.resident == tuple(recency)
+        assert mem.resident == tuple(ref.residents)
     assert total_time == pytest.approx(loads * 0.1)
 
 
@@ -214,31 +199,11 @@ def test_memory_matches_plain_list_lru(case):
         capacities={"gpu": capacity},
     )
     mem = AcceleratorMemory("gpu", cat)
-    # The reference: a list of residents, least recently requested first,
-    # whose used bytes are always re-summed.
-    recency: list[str] = []
-
-    def used() -> int:
-        return sum(sizes[m] for m in recency)
-
-    for model in priority:
-        if model not in recency and used() + sizes[model] <= capacity:
-            recency.append(model)
-    assert mem.prefill(priority) == set(recency)
-    assert mem.resident == tuple(recency) and mem.used_bytes == used()
+    ref = ListLRU(cat, "gpu")
+    assert mem.prefill(priority) == ref.prefill(priority)
+    assert mem.resident == tuple(ref.residents) and mem.used_bytes == ref.used()
 
     for model in stream:
-        out = mem.request(model)
-        if model in recency:
-            recency.remove(model)
-            expected = ("hit", (), 0.0, 0.0)
-        else:
-            evicted = []
-            while used() + sizes[model] > capacity:
-                evicted.append(recency.pop(0))
-            kind = "evict_load" if evicted else "cold_load"
-            expected = (kind, tuple(evicted), 0.5, float(sizes[model]))
-        recency.append(model)
-        assert (out.kind, out.evicted, out.time_cost_s, out.energy_cost_j) == expected
-        assert mem.resident == tuple(recency)
-        assert mem.used_bytes == used() <= capacity
+        assert mem.request(model) == ref.request(model)
+        assert mem.resident == tuple(ref.residents)
+        assert mem.used_bytes == ref.used() <= capacity

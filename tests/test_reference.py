@@ -1,0 +1,122 @@
+"""The simulator against the naive replay of `reference`, end to end, and
+the public names that the reference took over."""
+
+from __future__ import annotations
+
+import importlib
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import odsched
+from conftest import SCENARIOS, evicting_case
+from odsched.catalog import Catalog, builtin_catalog
+from odsched.scheduler import Knobs, SchedulerConfig
+from odsched.sim import DEFAULT_OVERHEAD_S, PARAM_ORDER, Policy, gen_trace, run, sweep
+from reference import replay
+
+_UNIT = st.floats(0.0, 1.0)
+_WEIGHT = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(0.01, 2.0))
+_CONFIGS = st.builds(
+    SchedulerConfig,
+    knobs=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT).filter(any).map(lambda w: Knobs(*w)),
+    accuracy_threshold=st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), _UNIT),
+    momentum=st.integers(1, 5) | st.just(30),
+    distance_threshold=st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 2.0),
+    bucket_width=st.sampled_from((0.1, 0.2, 0.25, 0.5, 1.0)) | st.floats(0.05, 1.0),
+)
+
+
+@st.composite
+def _evicting_catalogs(draw) -> Catalog:
+    """The builtin catalog with each accelerator's memory cut to between its
+    largest profile and one byte less than all of its profiles."""
+    base = builtin_catalog()
+    accelerators = {}
+    for name, acc in base.accelerators.items():
+        sizes = [p.memory_bytes for p in base.profiles.values() if p.accelerator == name]
+        capacity = draw(st.integers(max(sizes), sum(sizes) - 1))
+        accelerators[name] = replace(acc, memory_bytes=capacity)
+    return replace(base, accelerators=accelerators)
+
+
+@st.composite
+def _grids(draw) -> dict:
+    """One or two parameters, each swept over the values of two configs."""
+    a, b = draw(_CONFIGS).params(), draw(_CONFIGS).params()
+    names = draw(st.sets(st.sampled_from(PARAM_ORDER), min_size=1, max_size=2))
+    # At most two: with two knobs swept to 0, the third keeps its positive
+    # default, so every combination is a valid config.
+    return {name: sorted({a[name], b[name]}) for name in sorted(names)}
+
+
+_SCENARIO, _CATALOG, _CONFIG = evicting_case()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    scenario=SCENARIOS,
+    seed=st.integers(0, 2**16),
+    catalog=_evicting_catalogs(),
+    config=_CONFIGS,
+    pick=st.integers(0, 17),
+    overhead=st.sampled_from((0.0, DEFAULT_OVERHEAD_S, 0.25)),
+    grid=_grids(),
+)
+@example(
+    scenario=_SCENARIO, seed=1, catalog=_CATALOG, config=_CONFIG, pick=2,
+    overhead=DEFAULT_OVERHEAD_S, grid={"momentum": [1, 3], "w_energy": [0.0, 0.5]},
+)
+def test_run_and_sweep_equal_the_naive_replay(
+    scenario, seed, catalog, config, pick, overhead, grid
+):
+    trace = gen_trace(scenario, seed)
+    pairs = catalog.profiled_pairs()
+    policies = [
+        Policy.shift(config),
+        Policy.single(*pairs[pick % len(pairs)]),
+        *(Policy.oracle(o) for o in ("energy", "accuracy", "latency")),
+    ]
+    for policy in policies:
+        for prefill in (False, True):
+            got = run(trace, catalog, policy, scheduler_overhead_s=overhead, prefill=prefill)
+            want = replay(trace, catalog, policy, scheduler_overhead_s=overhead, prefill=prefill)
+            assert got == want, (policy.describe(), prefill)
+    for cfg, report in sweep(trace, catalog, grid, scheduler_overhead_s=overhead):
+        assert report == replay(trace, catalog, Policy.shift(cfg), scheduler_overhead_s=overhead)
+
+
+def _removed_names() -> set[str]:
+    """The names the README's sentences "... gone from the public API" list."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme.split())
+    subjects = re.findall(r"([^.:]*) (?:is|are) gone from the public API", text)
+    return {name for subject in subjects for name in re.findall(r"`(\w+)`", subject)}
+
+
+# Each removed name, by the module that defined it.
+_REMOVED = {
+    "Bucket": "confidence_graph",
+    "bucket_for": "confidence_graph",
+    "ncc": "context",
+    "similarity": "context",
+    "valid_set": "scheduler",
+    "score_candidates": "scheduler",
+    "best_pair": "scheduler",
+}
+
+
+def test_the_readme_lists_every_removed_name():
+    assert _removed_names() == set(_REMOVED)
+
+
+@pytest.mark.parametrize(("name", "module"), sorted(_REMOVED.items()))
+def test_removed_name_is_gone(name, module):
+    with pytest.raises(AttributeError):
+        getattr(odsched, name)
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(f"odsched.{module}"), name)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_profile
+from conftest import make_catalog, make_pm, make_profile, two_model_setup
 from odsched.catalog import (
     Accelerator,
     BoundingBox,
@@ -18,50 +18,18 @@ from odsched.catalog import (
     DetectionOutcome,
     FrameRecord,
 )
-from odsched.confidence_graph import GraphNode, Prediction, PredictionMap, predict
+from odsched.confidence_graph import GraphNode, Prediction, PredictionMap
 from odsched.images import GrayscaleImage
 from odsched.scheduler import (
     Decision,
     Knobs,
     SchedulerConfig,
     SchedulerState,
-    best_pair,
     normalize_costs,
     schedule,
-    score_candidates,
     update_momentum,
-    valid_set,
 )
-
-
-def make_pm(
-    model_accs: dict[str, float],
-    width: float = 0.1,
-    threshold: float = 0.5,
-    bucket: int = 5,
-    cross_distance: float = 0.1,
-) -> PredictionMap:
-    """One populated bucket per model; every entry predicts all models."""
-    models = sorted(model_accs)
-    nodes = {(m, bucket): GraphNode(model_accs[m], 1) for m in models}
-    entries = {
-        (m, bucket): tuple(
-            Prediction(
-                model=o,
-                accuracy=model_accs[o],
-                distance=0.0 if o == m else cross_distance,
-            )
-            for o in models
-        )
-        for m in models
-    }
-    return PredictionMap(
-        bucket_width=width,
-        distance_threshold=threshold,
-        nodes=nodes,
-        arcs={},
-        entries=entries,
-    )
+from reference import NaiveScheduler, best_pair, score_candidates, similarity, valid_set
 
 
 def _image(seed: int, size: int = 32) -> GrayscaleImage:
@@ -244,24 +212,11 @@ def test_momentum_window_slides():
 
 
 # ---------------------------------------------------------------------------
-# schedule(): branch fixtures
-
-
-def _two_model_setup(threshold=0.25, knobs=Knobs(1.0, 0.0, 0.0), accs=None):
-    cat = make_catalog(
-        [
-            make_profile("a", "cpu", 0.10, 10.0),
-            make_profile("a", "gpu", 0.10, 10.0),
-            make_profile("b", "gpu", 0.01, 10.0),
-        ]
-    )
-    pm = make_pm(accs or {"a": 0.7, "b": 0.5})
-    cfg = SchedulerConfig(knobs=knobs, accuracy_threshold=threshold)
-    return cat, pm, SchedulerState(cat, pm, cfg)
+# schedule(): branches
 
 
 def test_early_exit_keeps_pair_and_buffers():
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     img = _image(0)
     box = BoundingBox(4, 4, 20, 20)
     first = schedule(state, ("a", "gpu"), 0.9, img, box)
@@ -278,13 +233,13 @@ def test_early_exit_keeps_pair_and_buffers():
 
 
 def test_first_frame_always_reschedules():
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     d = schedule(state, ("a", "gpu"), 1.0, _image(1), BoundingBox(0, 0, 8, 8))
     assert d.rescheduled and d.similarity == 0.0
 
 
 def test_argmax_with_accuracy_knob_only():
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     d = schedule(state, ("a", "gpu"), 0.1)  # no frame: s = 0, full pass
     # R = {a: 0.7, b: 0.5}; scores: a pairs 0.7, b 0.5; tie a-cpu vs a-gpu
     assert d.pair == ("a", "cpu")
@@ -295,14 +250,14 @@ def test_argmax_with_accuracy_knob_only():
 
 def test_valid_set_filter_excludes_low_models():
     # b's pair is far cheaper, but b misses the 0.6 threshold
-    _, _, state = _two_model_setup(threshold=0.6, knobs=Knobs(1.0, 1.0, 1.0))
+    _, _, state = two_model_setup(threshold=0.6, knobs=Knobs(1.0, 1.0, 1.0))
     d = schedule(state, ("a", "gpu"), 0.1)
     assert d.pair[0] == "a"
     assert all(pair[0] == "a" for pair in d.scores)
 
 
 def test_empty_valid_set_falls_back_to_all():
-    _, _, state = _two_model_setup(threshold=0.9, knobs=Knobs(0.0, 1.0, 1.0))
+    _, _, state = two_model_setup(threshold=0.9, knobs=Knobs(0.0, 1.0, 1.0))
     d = schedule(state, ("a", "gpu"), 0.1)
     # nobody meets 0.9; with pure cost knobs the cheap b pair wins
     assert set(d.scores) == {("a", "cpu"), ("a", "gpu"), ("b", "gpu")}
@@ -327,7 +282,7 @@ def test_qualifier_without_profiled_pair_falls_back_to_every_profiled_model():
 )
 def test_decision_records_valid_set_fallback(threshold, fallback):
     # Momentum averages are a 0.7 and b 0.5: a meets any threshold up to 0.7.
-    _, _, state = _two_model_setup(threshold=threshold)
+    _, _, state = two_model_setup(threshold=threshold)
     d = schedule(state, ("a", "gpu"), 0.1)
     assert d.rescheduled
     assert d.valid_fallback is fallback
@@ -337,7 +292,7 @@ def test_decision_records_valid_set_fallback(threshold, fallback):
 
 
 def test_early_exit_records_no_valid_set_fallback():
-    _, _, state = _two_model_setup(threshold=0.9)
+    _, _, state = two_model_setup(threshold=0.9)
     img, box = _image(0), BoundingBox(4, 4, 20, 20)
     assert schedule(state, ("a", "gpu"), 1.0, img, box).valid_fallback
     d = schedule(state, ("a", "gpu"), 1.0, img, box)
@@ -352,20 +307,20 @@ def test_qualifier_without_profiled_pair_records_valid_set_fallback():
 
 
 def test_schedule_unknown_model_errors():
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     with pytest.raises(KeyError):
         schedule(state, ("ghost", "gpu"), 0.5)
 
 
 def test_schedule_rejects_bad_confidence():
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     with pytest.raises(ValueError):
         schedule(state, ("a", "gpu"), 1.3)
 
 
 def test_decision_deterministic_across_fresh_states():
     def run_once() -> Decision:
-        _, _, state = _two_model_setup(knobs=Knobs(1.0, 0.5, 0.5))
+        _, _, state = two_model_setup(knobs=Knobs(1.0, 0.5, 0.5))
         schedule(state, ("a", "gpu"), 0.4, _image(2), BoundingBox(1, 1, 9, 9))
         return schedule(state, ("a", "gpu"), 0.4, _image(3), BoundingBox(1, 1, 9, 9))
 
@@ -376,9 +331,7 @@ def test_decision_deterministic_across_fresh_states():
 
 
 def test_frameless_call_keeps_last_frame_and_its_own_box():
-    from odsched.context import similarity
-
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     img = _image(6)
     own_box, other_box = BoundingBox(2, 2, 14, 14), BoundingBox(16, 16, 30, 30)
     schedule(state, ("a", "gpu"), 0.9, img, own_box)
@@ -404,7 +357,7 @@ def test_shared_memo_matches_fresh_state():
         ]
 
     memo: dict = {}
-    cat, pm, _ = _two_model_setup()
+    cat, pm, _ = two_model_setup()
     similarities(SchedulerState(cat, pm, memo=memo), [1, 2])
     # Frame 1 misses, frame 2 hits, and frame 3 misses again: its previous
     # frame's stats were never built, so they must not come from frame 1.
@@ -437,7 +390,7 @@ def test_state_without_memo_keeps_no_per_frame_container(builtin, demo_trace):
 
 
 def test_frame_size_change_propagates_error():
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     schedule(state, ("a", "gpu"), 0.5, _image(4, 32), None)
     with pytest.raises(ValueError, match="differ"):
         schedule(state, ("a", "gpu"), 0.5, _image(5, 16), None)
@@ -448,7 +401,7 @@ def test_frame_size_change_propagates_error():
 def test_frame_size_change_raises_on_a_skipped_frame(memo, confidence, box):
     # At threshold 0.25, confidence 0.1 skips both terms and a missing box
     # skips the frame term; the size check still runs.
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     state.memo = memo
     schedule(state, ("a", "gpu"), 0.5, _image(4, 32), BoundingBox(1, 1, 9, 9))
     with pytest.raises(ValueError, match="image dimensions differ"):
@@ -479,7 +432,7 @@ def test_context_skips_the_terms_that_cannot_change_the_decision(
             return _real(*args)
 
         monkeypatch.setattr(scheduler, name, counting)
-    _, _, state = _two_model_setup(threshold=threshold)
+    _, _, state = two_model_setup(threshold=threshold)
     state.memo = memo
     box = BoundingBox(2, 2, 14, 14)
     prev = _image(7)
@@ -548,7 +501,7 @@ def test_box_term_builds_only_the_patches_it_lacks(monkeypatch, memo):
     # missing box on either side; a call without a frame leaves the kept
     # patch for the next call.
     built = _count_patch_builds(monkeypatch)
-    _, _, state = _two_model_setup()
+    _, _, state = two_model_setup()
     state.memo = memo
     box, other = BoundingBox(2, 2, 14, 14), BoundingBox(6, 4, 20, 18)
     calls = [
@@ -598,19 +551,17 @@ def test_each_detection_patch_is_built_at_most_once(builtin, demo_trace, monkeyp
     assert len(set(keys)) == len(keys)
 
 
-def _full_similarity_schedule(state, last, pair, confidence, frame, box):
-    """`schedule` computing both context terms on every frame, through
-    `context.similarity`; `last` holds the previous frame and its box."""
-    from odsched.context import similarity
-
-    s = 0.0
-    if frame is not None:
-        if last:
-            s = similarity(last[0], frame, last[1], box)
-        last[:] = [frame, box]
-    if s * confidence >= state.config.accuracy_threshold:
-        return Decision(pair=pair, rescheduled=False, similarity=s)
-    return state._select(predict(state.prediction_map, pair[0], confidence), s)
+def _assert_same_decision(got, want, confidence, threshold):
+    """`got`, from `schedule()`, decides as the naive `want` does; a
+    similarity `schedule()` skipped is one that could not keep the pair."""
+    assert (got.pair, got.rescheduled) == (want.pair, want.rescheduled)
+    assert list(got.scores.items()) == list(want.scores.items())
+    assert got.predictions == want.predictions
+    assert got.valid_fallback == want.valid_fallback
+    if got.similarity is None:
+        assert want.rescheduled and want.similarity * confidence < threshold
+    else:
+        assert got.similarity == want.similarity
 
 
 def _context_images():
@@ -647,9 +598,9 @@ def _context_streams(draw):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(_context_streams())
-def test_schedule_matches_full_similarity_schedule(stream):
+def test_schedule_matches_naive_on_context_streams(stream):
     threshold, calls, memo_kind, warm_threshold = stream
-    cat, pm, state = _two_model_setup(threshold=threshold, knobs=Knobs(1.0, 0.5, 0.5))
+    cat, pm, state = two_model_setup(threshold=threshold, knobs=Knobs(1.0, 0.5, 0.5))
     cfg = state.config
     state.memo = None if memo_kind == "none" else {}
     if memo_kind == "shared":
@@ -658,21 +609,12 @@ def test_schedule_matches_full_similarity_schedule(stream):
         warm = SchedulerState(cat, pm, warm_cfg, memo=state.memo)
         for frame, box, confidence in calls:
             schedule(warm, ("a", "gpu"), confidence, frame, box)
-    reference, last = SchedulerState(cat, pm, cfg), []
+    naive = NaiveScheduler(cat, pm, cfg)
     pair = ("a", "gpu")
     for frame, box, confidence in calls:
         got = schedule(state, pair, confidence, frame, box)
-        want = _full_similarity_schedule(reference, last, pair, confidence, frame, box)
-        assert got.pair == want.pair
-        assert got.rescheduled == want.rescheduled
-        assert list(got.scores.items()) == list(want.scores.items())
-        assert got.predictions == want.predictions
-        assert got.valid_fallback == want.valid_fallback
-        assert state.buffers == reference.buffers
-        if got.similarity is None:
-            assert want.rescheduled and want.similarity * confidence < threshold
-        else:
-            assert got.similarity == want.similarity
+        _assert_same_decision(got, naive.step(pair, confidence, frame, box), confidence, threshold)
+        assert {m: list(b) for m, b in state.buffers.items()} == naive.buffers
         pair = got.pair
 
 
@@ -704,7 +646,7 @@ def test_bootstrap_seeds_from_top_bucket_and_scores():
 
 @pytest.mark.parametrize(("threshold", "fallback"), [(0.75, False), (0.76, True)])
 def test_bootstrap_records_valid_set_fallback(threshold, fallback):
-    _, pm, _ = _two_model_setup(accs={"a": 0.75, "b": 0.5})
+    _, pm, _ = two_model_setup(accs={"a": 0.75, "b": 0.5})
     cat = make_catalog(
         [make_profile("a", "gpu", 0.10, 10.0), make_profile("b", "gpu", 0.01, 10.0)]
     )
@@ -800,93 +742,6 @@ def test_score_candidates_matches_sorted_pair_loop():
         assert list(got.items()) == list(want.items())
 
 
-class NaiveScheduler:
-    """Deliberately plain re-implementation of the per-frame algorithm,
-    with its own buffers, normalization, and argmax, for differential
-    testing against schedule()."""
-
-    def __init__(self, catalog, pm, config):
-        self.catalog = catalog
-        self.pm = pm
-        self.config = config
-        pairs = catalog.profiled_pairs()
-
-        def inverted(values):
-            lo, hi = min(values), max(values)
-            if hi <= lo:
-                return [1.0 for _ in values]
-            return [1.0 - (v - lo) / (hi - lo) for v in values]
-
-        self.energy = dict(
-            zip(pairs, inverted([catalog.profiles[p].avg_energy_j for p in pairs]))
-        )
-        self.latency = dict(
-            zip(pairs, inverted([catalog.profiles[p].avg_latency_s for p in pairs]))
-        )
-        self.buffers: dict[str, list[float]] = {}
-        self.prev_frame = None
-        self.prev_box = None
-
-    def _append(self, model, value):
-        buf = self.buffers.setdefault(model, [])
-        buf.append(value)
-        if len(buf) > self.config.momentum:
-            del buf[: len(buf) - self.config.momentum]
-
-    def _pass(self, predictions):
-        averages = {}
-        for p in predictions:
-            self._append(p.model, p.accuracy)
-            buf = self.buffers[p.model]
-            averages[p.model] = sum(buf) / len(buf)
-        # The README's candidate rule: the predicted models that have a
-        # profiled pair and meet the threshold, or all of them when none does.
-        pairs = self.catalog.profiled_pairs()
-        profiled = {m for m in averages if any(p[0] == m for p in pairs)}
-        meeting = {m for m in profiled if averages[m] >= self.config.accuracy_threshold}
-        if not meeting:
-            meeting = profiled
-        knobs = self.config.knobs
-        best = None
-        best_score = None
-        for pair in pairs:
-            if pair[0] not in meeting:
-                continue
-            score = (
-                averages[pair[0]] * knobs.w_accuracy
-                + self.energy[pair] * knobs.w_energy
-                + self.latency[pair] * knobs.w_latency
-            )
-            if best_score is None or score > best_score:
-                best, best_score = pair, score
-        return best
-
-    def bootstrap(self):
-        from odsched.confidence_graph import Prediction as P
-
-        seeds = []
-        for model in sorted({m for m, _ in self.pm.nodes}):
-            top = max(i for m, i in self.pm.nodes if m == model)
-            own = [p for p in self.pm.entries[(model, top)] if p.model == model][0]
-            seeds.append(P(model=model, accuracy=own.accuracy, distance=0.0))
-        return self._pass(seeds)
-
-    def step(self, pair, confidence, frame, box):
-        from odsched.confidence_graph import predict
-        from odsched.context import similarity
-
-        if self.prev_frame is None or frame is None:
-            s = 0.0
-        else:
-            s = similarity(self.prev_frame, frame, self.prev_box, box)
-        if frame is not None:
-            self.prev_frame = frame
-            self.prev_box = box
-        if s * confidence >= self.config.accuracy_threshold:
-            return pair, False
-        return self._pass(predict(self.pm, pair[0], confidence)), True
-
-
 @pytest.mark.parametrize(
     "config",
     [
@@ -901,21 +756,24 @@ def test_schedule_matches_naive_reimplementation(builtin, demo_trace, config):
     from odsched.confidence_graph import build_prediction_map
 
     pm = build_prediction_map(demo_trace, config.bucket_width, config.distance_threshold)
+    _assert_replays_as_naive(builtin, pm, config, demo_trace)
 
-    state = SchedulerState(builtin, pm, config)
-    naive = NaiveScheduler(builtin, pm, config)
-    pair = state.bootstrap().pair
-    naive_pair = naive.bootstrap()
-    assert pair == naive_pair
 
-    for fr in demo_trace.frames:
+def _assert_replays_as_naive(catalog, pm, config, trace):
+    """Replay `trace` through `schedule()` and the naive scheduler in lock
+    step, each frame's confidence and box the incumbent model's."""
+    state = SchedulerState(catalog, pm, config)
+    naive = NaiveScheduler(catalog, pm, config)
+    first = state.bootstrap()
+    _assert_same_decision(first, naive.bootstrap(), 0.0, config.accuracy_threshold)
+    pair = first.pair
+    for fr in trace.frames:
         out = fr.per_model.get(pair[0])
         conf = out.confidence if out is not None else 0.0
         box = out.box if out is not None else None
         decision = schedule(state, pair, conf, fr.frame, box)
-        expected_pair, expected_resched = naive.step(pair, conf, fr.frame, box)
-        assert decision.pair == expected_pair, fr.frame_index
-        assert decision.rescheduled == expected_resched, fr.frame_index
+        want = naive.step(pair, conf, fr.frame, box)
+        _assert_same_decision(decision, want, conf, config.accuracy_threshold)
         pair = decision.pair
 
 
@@ -980,17 +838,7 @@ def test_schedule_matches_naive_on_random_streams(stream):
 
     catalog, trace, config = stream
     pm = build_prediction_map(trace, config.bucket_width, config.distance_threshold)
-    state = SchedulerState(catalog, pm, config)
-    naive = NaiveScheduler(catalog, pm, config)
-    pair = state.bootstrap().pair
-    assert pair == naive.bootstrap()
-    for fr in trace.frames:
-        out = fr.per_model.get(pair[0])
-        conf = out.confidence if out is not None else 0.0
-        box = out.box if out is not None else None
-        decision = schedule(state, pair, conf, fr.frame, box)
-        assert (decision.pair, decision.rescheduled) == naive.step(pair, conf, fr.frame, box)
-        pair = decision.pair
+    _assert_replays_as_naive(catalog, pm, config, trace)
 
 
 # Few distinct values make costs, averages and scores tie; free floats make
@@ -1040,35 +888,21 @@ def _frameless_streams(draw):
     return make_catalog(profiles), pm, config, confidences
 
 
-def _helper_pass(buffers, predictions, catalog, config):
-    """The full pass composed from the public helpers, one step at a time."""
-    averages = update_momentum(buffers, predictions, config.momentum)
-    profiled = {m: r for m, r in averages.items() if any(p[0] == m for p in catalog.profiles)}
-    valid = valid_set(profiled, config.accuracy_threshold)
-    scores = score_candidates(averages, valid, normalize_costs(catalog), config.knobs)
-    fallback = not any(r >= config.accuracy_threshold for r in profiled.values())
-    return best_pair(scores), scores, fallback
-
-
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(_frameless_streams())
 def test_full_pass_matches_helper_composition(stream):
     catalog, pm, config, confidences = stream
     state = SchedulerState(catalog, pm, config)
-    buffers: dict[str, deque] = {}
-    decision = state.bootstrap()
+    naive = NaiveScheduler(catalog, pm, config)
+    decision, want = state.bootstrap(), naive.bootstrap()
     for confidence in [None, *confidences]:
         if confidence is not None:
             # Frameless calls score similarity 0, so each one is a full pass.
-            buffers = {m: deque(b, maxlen=b.maxlen) for m, b in state.buffers.items()}
-            predictions = predict(pm, decision.pair[0], confidence)
             decision = schedule(state, decision.pair, confidence)
-            assert decision.rescheduled and decision.predictions == predictions
-        pair, scores, fallback = _helper_pass(buffers, decision.predictions, catalog, config)
-        assert decision.pair == pair
-        assert list(decision.scores.items()) == list(scores.items())
-        assert decision.valid_fallback is fallback
-        assert state.buffers == buffers
+            want = naive.step(want.pair, confidence)
+            assert decision.rescheduled
+        _assert_same_decision(decision, want, confidence, config.accuracy_threshold)
+        assert {m: list(b) for m, b in state.buffers.items()} == naive.buffers
 
 
 def test_valid_set_soundness_randomized():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_catalog, make_profile, make_trace, with_ghost
+from conftest import evicting_case, make_catalog, make_profile, make_trace, with_ghost
 from odsched import scheduler, sim
 from odsched.catalog import (
     BoundingBox,
@@ -21,7 +21,6 @@ from odsched.catalog import (
     builtin_catalog,
     frame_to_dict,
 )
-from odsched.context import ncc
 from odsched.errors import ScenarioError, TraceError, ValidationError
 from odsched.images import GrayscaleImage
 from odsched.scheduler import Knobs, SchedulerConfig
@@ -38,6 +37,7 @@ from odsched.sim import (
     sweep,
     sweep_correlations,
 )
+from reference import ListLRU, ncc
 
 # ---------------------------------------------------------------------------
 # policies
@@ -354,35 +354,13 @@ def test_shift_uncharacterized_choice_scores_zero():
 def test_shift_load_charges_match_plain_list_lru_when_evicting():
     # Five contexts, each favouring one model; the accelerator holds two of
     # the three models, so the shift run evicts, choosing among residents.
-    good, poor = sim.ModelBehavior(0.9, 0.02, 0.8, 0.02), sim.ModelBehavior(0.1, 0.02, 0.1, 0.02)
-    segments = tuple(
-        sim.Segment(20, {m: good if m == best else poor for m in "abc"}, texture_seed=i)
-        for i, best in enumerate("abcab")
-    )
-    trace = gen_trace(sim.Scenario(segments, width=16, height=16), 1)
-    size, capacity = 10, 20
-    loads = {"a": (0.25, 1.0), "b": (0.5, 2.0), "c": (0.75, 3.0)}
-    cat = make_catalog(
-        [make_profile(m, "gpu", 0.1, 1.0, memory=size, load_time=t, load_energy=e)
-         for m, (t, e) in loads.items()],
-        capacities={"gpu": capacity},
-    )
-    rep = run(trace, cat, Policy.shift(SchedulerConfig(knobs=Knobs(1, 0, 0), momentum=3)))
-
-    recency: list[str] = []  # residents, least recently requested first
-    evictions = 0
+    scenario, cat, config = evicting_case()
+    rep = run(gen_trace(scenario, 1), cat, Policy.shift(config))
+    lru = ListLRU(cat, "gpu")
     for f in rep.per_frame:
-        if f.model in recency:
-            recency.remove(f.model)
-            expected = (0.0, 0.0)
-        else:
-            if size * (len(recency) + 1) > capacity:
-                recency.pop(0)  # the older of the two residents
-                evictions += 1
-            expected = loads[f.model]
-        recency.append(f.model)
-        assert (f.load_time_s, f.load_energy_j) == expected, f.frame_index
-    assert evictions >= 2
+        load = lru.request(f.model)
+        assert (f.load_time_s, f.load_energy_j) == (load.time_cost_s, load.energy_cost_j)
+    assert lru.evictions >= 2
 
 
 # ---------------------------------------------------------------------------
