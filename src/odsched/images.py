@@ -82,7 +82,7 @@ def decode_inline(obj: dict) -> GrayscaleImage:
 
 
 def read_pgm(path: str | Path) -> GrayscaleImage:
-    """Read a binary (P5) PGM file with maxval <= 255."""
+    """Read a binary (P5) PGM file with maxval <= 255 and no sample above it."""
     data = Path(path).read_bytes()
     fields: list[bytes] = []
     pos = 0
@@ -113,7 +113,10 @@ def read_pgm(path: str | Path) -> GrayscaleImage:
     raw = data[pos : pos + width * height]
     if len(raw) != width * height:
         raise ValueError(f"{path}: PGM pixel data truncated")
-    return GrayscaleImage.from_bytes(width, height, raw)
+    img = GrayscaleImage.from_bytes(width, height, raw)
+    if maxval < 255 and (top := int(img.pixels.max())) > maxval:
+        raise ValueError(f"{path}: PGM sample {top} exceeds maxval {maxval}")
+    return img
 
 
 def write_pgm(img: GrayscaleImage, path: str | Path) -> None:

@@ -16,9 +16,10 @@ Policies:
   clairvoyant per-frame baselines choosing among the profiled pairs of
   models whose recorded IoU clears 0.5 (of all observed models when none
   do).  Oracles assume everything is preloaded and pay no load or
-  scheduling cost, and pick every frame's pair before frame 0 replays.
+  scheduling cost.
 
-No input is rejected once the first frame has replayed.
+Every policy decides every frame's pair before any frame is charged, so no
+input is rejected once the first frame has been charged.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -57,11 +58,12 @@ from .errors import (
     write_json,
 )
 from .images import GrayscaleImage
-from .loader import AcceleratorMemory
+from .loader import AcceleratorMemory, LoadOutcome
 from .scheduler import SchedulerConfig, SchedulerState, schedule
 
 SUCCESS_IOU = 0.5
 DEFAULT_OVERHEAD_S = 0.002
+_PRELOADED = LoadOutcome(kind="hit")  # every load of an oracle's run
 
 # Policy kind -> the policy string that names it; a single policy's string
 # goes on with <model>:<accelerator>.
@@ -297,18 +299,8 @@ def _run(
     memo: dict[tuple, float] | None,
 ) -> SimulationReport:
     config = None
-    charged_overhead_s = 0.0  # only the adaptive policy pays for deciding
-    memories: dict[str, AcceleratorMemory] | None = None  # oracles preload all
-    if policy.kind in ("shift", "single"):
-        memories = {
-            name: AcceleratorMemory(name, catalog) for name in catalog.accelerators
-        }
-        if prefill:
-            for mem in memories.values():
-                mem.prefill(catalog.models)
     if policy.kind == "shift":
         config = policy.config if policy.config is not None else SchedulerConfig()
-        charged_overhead_s = overhead_s
         pm = prediction_map
         if pm is None:
             pm = build_prediction_map(
@@ -322,13 +314,11 @@ def _run(
             )
         state = SchedulerState(catalog, pm, config, memo=memo)
         pair = state.bootstrap().pair
-
-        def choose(fr: FrameRecord) -> Pair:
-            nonlocal pair
+        pairs = []
+        for fr in trace.frames:
             incumbent = fr.per_model.get(pair[0], NO_DETECTION)
             pair = schedule(state, pair, incumbent.confidence, fr.frame, incumbent.box).pair
-            return pair
-
+            pairs.append(pair)
     elif policy.kind == "single":
         fixed = policy.pair
         assert fixed is not None
@@ -336,14 +326,23 @@ def _run(
             raise ValueError(
                 f"single-model pair ({fixed[0]}, {fixed[1]}) is not profiled in the catalog"
             )
-        choose = lambda fr: fixed
+        pairs = [fixed] * len(trace)
     else:
         objective = policy.kind.removeprefix("oracle_")
-        # Every frame's pair is chosen before frame 0 replays, so a frame
-        # that offers no choice fails first.
-        chosen = {fr.frame_index: oracle_choose(fr, catalog, objective) for fr in trace.frames}
-        choose = lambda fr: chosen[fr.frame_index]
-    per_frame = _replay(trace, catalog, choose, charged_overhead_s, memories)
+        pairs = [oracle_choose(fr, catalog, objective) for fr in trace.frames]
+
+    # Only shift pays the scheduling overhead.  Oracles assume every model
+    # preloaded and pay no loads.  Prefill applies to shift and single.
+    memories: dict[str, AcceleratorMemory] | None = None
+    if policy.kind in ("shift", "single"):
+        memories = {
+            name: AcceleratorMemory(name, catalog) for name in catalog.accelerators
+        }
+        if prefill:
+            for mem in memories.values():
+                mem.prefill(catalog.models)
+    charged_overhead_s = overhead_s if policy.kind == "shift" else 0.0
+    per_frame = _replay(trace, catalog, pairs, charged_overhead_s, memories)
     agg = metrics(per_frame, catalog.gpu_accelerators())
     return SimulationReport(
         policy=policy.describe(),
@@ -356,22 +355,18 @@ def _run(
 def _replay(
     trace: CharacterizationTrace,
     catalog: Catalog,
-    choose: Callable[[FrameRecord], Pair],
+    pairs: Sequence[Pair],
     overhead_s: float,
     memories: Mapping[str, AcceleratorMemory] | None,
 ) -> list[FrameResult]:
-    """Charge each frame the pair `choose` picks: its profiled cost plus
-    `overhead_s`, and its load cost when `memories` is given (oracles pay no
-    loads)."""
+    """Charge each frame its pair, decided before any frame is charged: the
+    pair's profiled cost plus `overhead_s`, and its load cost when
+    `memories` is given."""
     results: list[FrameResult] = []
     prev_pair: Pair | None = None
-    for fr in trace.frames:
-        pair = choose(fr)
+    for fr, pair in zip(trace.frames, pairs):
         profile = catalog.profile(*pair)
-        load_time_s = load_energy_j = 0.0
-        if memories is not None:
-            load = memories[pair[1]].request(pair[0])
-            load_time_s, load_energy_j = load.time_cost_s, load.energy_cost_j
+        load = _PRELOADED if memories is None else memories[pair[1]].request(pair[0])
         # A chosen model without trace coverage on this frame scores 0; it
         # penalizes scheduling uncharacterized models instead of erroring.
         out = fr.per_model.get(pair[0], NO_DETECTION)
@@ -385,8 +380,8 @@ def _replay(
                 latency_s=profile.avg_latency_s + overhead_s,
                 energy_j=profile.avg_energy_j,
                 swap_occurred=prev_pair is not None and pair != prev_pair,
-                load_time_s=load_time_s,
-                load_energy_j=load_energy_j,
+                load_time_s=load.time_cost_s,
+                load_energy_j=load.energy_cost_j,
             )
         )
         prev_pair = pair

@@ -84,3 +84,12 @@ def test_pgm_truncated(tmp_path):
     p.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(ValueError, match="truncated"):
         read_pgm(p)
+
+
+def test_pgm_samples_may_reach_but_not_exceed_maxval(tmp_path):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 15, 7, 3]))
+    assert read_pgm(p).pixels.tolist() == [[0, 15], [7, 3]]
+    p.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 16, 7, 3]))
+    with pytest.raises(ValueError, match="m.pgm: PGM sample 16 exceeds maxval 15"):
+        read_pgm(p)

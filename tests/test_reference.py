@@ -16,7 +16,17 @@ import odsched
 from conftest import SCENARIOS, evicting_case
 from odsched.catalog import Catalog, builtin_catalog
 from odsched.scheduler import Knobs, SchedulerConfig
-from odsched.sim import DEFAULT_OVERHEAD_S, PARAM_ORDER, Policy, gen_trace, run, sweep
+from odsched.sim import (
+    DEFAULT_OVERHEAD_S,
+    PARAM_ORDER,
+    ModelBehavior,
+    Policy,
+    Scenario,
+    Segment,
+    gen_trace,
+    run,
+    sweep,
+)
 from reference import replay
 
 _UNIT = st.floats(0.0, 1.0)
@@ -31,16 +41,34 @@ _CONFIGS = st.builds(
 )
 
 
+def _cut_first_pairs(models) -> Catalog:
+    """The builtin catalog without the given models' pairs on the
+    first-sorting accelerator.
+
+    In the builtin catalog every model has a profile there, so the oracles'
+    (model, accelerator) tie order would look the same as (accelerator,
+    model)."""
+    base = builtin_catalog()
+    cut = {(m, min(base.accelerators)) for m in models}
+    return replace(
+        base,
+        compatibility=base.compatibility - cut,
+        profiles={pair: p for pair, p in base.profiles.items() if pair not in cut},
+    )
+
+
 @st.composite
 def _evicting_catalogs(draw) -> Catalog:
-    """The builtin catalog with each accelerator's memory cut to between its
-    largest profile and one byte less than all of its profiles."""
-    base = builtin_catalog()
+    """`_cut_first_pairs` of some models, with each accelerator's memory cut
+    to between its largest profile and one byte less than all of them."""
+    base = _cut_first_pairs(draw(st.sets(st.sampled_from(builtin_catalog().models))))
     accelerators = {}
     for name, acc in base.accelerators.items():
         sizes = [p.memory_bytes for p in base.profiles.values() if p.accelerator == name]
-        capacity = draw(st.integers(max(sizes), sum(sizes) - 1))
-        accelerators[name] = replace(acc, memory_bytes=capacity)
+        if sizes:
+            capacity = draw(st.integers(max(sizes), max(max(sizes), sum(sizes) - 1)))
+            acc = replace(acc, memory_bytes=capacity)
+        accelerators[name] = acc
     return replace(base, accelerators=accelerators)
 
 
@@ -55,6 +83,10 @@ def _grids(draw) -> dict:
 
 
 _SCENARIO, _CATALOG, _CONFIG = evicting_case()
+# Two models with the same IoU on every frame; only the second keeps its
+# pair on the first-sorting accelerator.
+_PERFECT = ModelBehavior(0.9, 0.0, 1.0, 0.0)
+_TIED = Scenario((Segment(3, {"yolov7": _PERFECT, "yolov7-tiny": _PERFECT}),), emit_frames=False)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -70,6 +102,10 @@ _SCENARIO, _CATALOG, _CONFIG = evicting_case()
 @example(
     scenario=_SCENARIO, seed=1, catalog=_CATALOG, config=_CONFIG, pick=2,
     overhead=DEFAULT_OVERHEAD_S, grid={"momentum": [1, 3], "w_energy": [0.0, 0.5]},
+)
+@example(
+    scenario=_TIED, seed=0, catalog=_cut_first_pairs({"yolov7"}), config=SchedulerConfig(),
+    pick=0, overhead=0.0, grid={"momentum": [1, 2]},
 )
 def test_run_and_sweep_equal_the_naive_replay(
     scenario, seed, catalog, config, pick, overhead, grid

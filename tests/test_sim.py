@@ -23,6 +23,7 @@ from odsched.catalog import (
 )
 from odsched.errors import ScenarioError, TraceError, ValidationError
 from odsched.images import GrayscaleImage
+from odsched.loader import AcceleratorMemory
 from odsched.scheduler import Knobs, SchedulerConfig
 from odsched.sim import (
     FrameResult,
@@ -222,6 +223,18 @@ def test_oracle_checks_every_frame_before_frame_zero(builtin, demo_trace, monkey
         assert run(trace, catalog, policy).frames == len(trace)
 
 
+def test_shift_decides_every_frame_before_charging_any(builtin, demo_trace, monkeypatch):
+    calls = []
+    real_schedule, real_request = sim.schedule, AcceleratorMemory.request
+    monkeypatch.setattr(sim, "schedule", lambda *a: calls.append("schedule") or real_schedule(*a))
+    monkeypatch.setattr(
+        AcceleratorMemory, "request", lambda *a: calls.append("request") or real_request(*a)
+    )
+    run(demo_trace, builtin, Policy.shift())
+    n = len(demo_trace)
+    assert calls == ["schedule"] * n + ["request"] * n
+
+
 def _with_frame_200(trace, **changes) -> tuple[FrameRecord, ...]:
     frames = list(trace.frames)
     frames[200] = replace(frames[200], **changes)
@@ -302,11 +315,12 @@ def _with_every_grid(test):
 @_with_every_grid
 def test_no_input_is_rejected_after_the_replay_starts(catalog, trace, pair, overhead, grid):
     """Every policy's run and a sweep either complete or raise before the
-    first `_replay` starts.
+    first `_replay` starts, and a shift run or sweep that raises has made no
+    `schedule` call.
 
     The shift policy's `no profiled (model, accelerator) pair among
-    predictions` is raised by `_select`, which also runs mid-replay, but it
-    can fire only in `bootstrap()`:
+    predictions` is raised by `_select`, which every `schedule` call may
+    also run, but it can fire only in `bootstrap()`:
     - the incumbent is always a profiled pair, since `_select` picks only
       among profiled pairs;
     - the incumbent's model has nodes in the map: `bootstrap()` seeds only
@@ -316,12 +330,16 @@ def test_no_input_is_rejected_after_the_replay_starts(catalog, trace, pair, over
       prediction tuple a replay passes to `_select` holds the incumbent's
       profiled model.
     """
-    started = []
-    real_replay = sim._replay
+    started, scheduled = [], []
+    real_replay, real_schedule = sim._replay, sim.schedule
 
     def spy(*args):
         started.append(1)
         return real_replay(*args)
+
+    def schedule_spy(*args):
+        scheduled.append(1)
+        return real_schedule(*args)
 
     policies = [Policy.shift(), Policy.single(*pair),
                 *(Policy.oracle(o) for o in ("energy", "accuracy", "latency"))]
@@ -329,13 +347,15 @@ def test_no_input_is_rejected_after_the_replay_starts(catalog, trace, pair, over
         *(lambda p=p: run(trace, catalog, p, scheduler_overhead_s=overhead) for p in policies),
         lambda: sweep(trace, catalog, grid, scheduler_overhead_s=overhead),
     ]
-    with mock.patch.object(sim, "_replay", spy):
+    with mock.patch.object(sim, "_replay", spy), mock.patch.object(sim, "schedule", schedule_spy):
         for call in calls:
             started.clear()
+            scheduled.clear()
             try:
                 call()
             except (ValidationError, ValueError, KeyError):
                 assert not started
+                assert not scheduled
 
 
 def test_shift_uncharacterized_choice_scores_zero():
