@@ -44,7 +44,6 @@ from .images import GrayscaleImage, read_pgm, write_pgm
 from .loader import AcceleratorMemory, LoadOutcome
 from .scheduler import (
     Decision,
-    Knobs,
     NormalizedCosts,
     SchedulerConfig,
     SchedulerState,

@@ -436,10 +436,11 @@ def prediction_map_from_dict(doc: dict) -> PredictionMap:
             if not 0 <= key[1] < n_buckets:
                 raise ValueError(f"bucket {key[1]} outside [0, {n_buckets})")
             _check_new(key, nodes, "node")
-            nodes[key] = GraphNode(
-                expected_accuracy=_json_range(n, "expected_accuracy", 1.0),
-                sample_count=json_int(n, "samples"),
-            )
+            accuracy = _json_range(n, "expected_accuracy", 1.0)
+            samples = json_int(n, "samples")
+            if samples < 1:  # a node exists only where a frame landed
+                raise ValueError(f"samples {samples} must be >= 1")
+            nodes[key] = GraphNode(accuracy, samples)
         arcs: dict[tuple[NodeKey, NodeKey], float] = {}
         for i, a in enumerate(doc["arcs"]):
             where = f"arcs[{i}]"

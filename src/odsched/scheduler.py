@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 from .catalog import BoundingBox, Catalog, ModelId, Pair
@@ -47,25 +47,12 @@ from .images import GrayscaleImage
 
 
 @dataclass(frozen=True)
-class Knobs:
-    """Relative weights of the three scheduling objectives."""
+class SchedulerConfig:
+    """The three objective weights, then the thresholds, in sweep order."""
 
     w_accuracy: float = 1.0
     w_energy: float = 0.5
     w_latency: float = 0.5
-
-    def __post_init__(self) -> None:
-        weights = asdict(self)
-        for name, w in weights.items():
-            if not (0 <= w <= sys.float_info.max):  # NaN and a huge int fail too
-                raise ValueError(f"{name} must be finite and non-negative, got {w}")
-        if not any(w > 0 for w in weights.values()):
-            raise ValueError("at least one knob weight must be positive")
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    knobs: Knobs = Knobs()
     accuracy_threshold: float = 0.25
     momentum: int = 30
     distance_threshold: float = 0.5
@@ -73,10 +60,18 @@ class SchedulerConfig:
 
     def __post_init__(self) -> None:
         # Each range check is written so that NaN fails it.
+        weights = (self.w_accuracy, self.w_energy, self.w_latency)
+        for name, w in zip(("w_accuracy", "w_energy", "w_latency"), weights):
+            if not (0 <= w <= sys.float_info.max):  # a huge int fails too
+                raise ValueError(f"{name} must be finite and non-negative, got {w}")
+        if not any(w > 0 for w in weights):
+            raise ValueError("at least one knob weight must be positive")
         if not (0.0 <= self.accuracy_threshold <= 1.0):
             raise ValueError(
                 f"accuracy_threshold {self.accuracy_threshold} outside [0, 1]"
             )
+        if isinstance(self.momentum, (bool, float)):  # a deque needs an int
+            raise ValueError(f"momentum {self.momentum!r} must be an integer")
         if self.momentum < 1:
             raise ValueError(f"momentum {self.momentum} must be >= 1")
         if self.momentum > sys.maxsize:  # a deque's maxlen is a C ssize_t
@@ -85,9 +80,8 @@ class SchedulerConfig:
         bucket_count(self.bucket_width, "bucket_width")  # checks the width rule
 
     def params(self) -> dict[str, float | int]:
-        """The seven scheduler parameters, knobs flattened, in sweep order."""
-        values = asdict(self)
-        return {**values.pop("knobs"), **values}
+        """The seven scheduler parameters, in sweep order."""
+        return asdict(self)
 
     @classmethod
     def from_params(cls, params: Mapping[str, Any]) -> SchedulerConfig:
@@ -95,12 +89,10 @@ class SchedulerConfig:
         rest numbers.  Keys other than the seven parameters are ignored, and
         a boolean, a string or a fractional momentum fails naming its
         parameter."""
-        values = {
+        return cls(**{
             name: (json_int if type(default) is int else json_float)(params, name)
             for name, default in cls().params().items()
-        }
-        knobs = Knobs(*(values.pop(f.name) for f in fields(Knobs)))
-        return cls(knobs, **values)
+        })
 
 
 @dataclass(frozen=True)
@@ -180,12 +172,12 @@ class SchedulerState:
         # sorted pair order.  The two products stay apart: a score adds them
         # in the order of the docstring's formula, so it rounds the same.
         costs = normalize_costs(catalog)
-        knobs = self.config.knobs
+        cfg = self.config
         latency = costs.latency_score
         terms: dict[ModelId, list[tuple[Pair, float, float]]] = {}
         for pair, energy in costs.energy_score.items():
             terms.setdefault(pair[0], []).append(
-                (pair, energy * knobs.w_energy, latency[pair] * knobs.w_latency)
+                (pair, energy * cfg.w_energy, latency[pair] * cfg.w_latency)
             )
         self.terms = {model: tuple(pairs) for model, pairs in terms.items()}
         self.buffers: dict[ModelId, deque[float]] = {}
@@ -282,7 +274,7 @@ class SchedulerState:
             raise ValueError("no profiled (model, accelerator) pair among predictions")
         threshold = cfg.accuracy_threshold
         valid = [m for m in profiled if averages[m] >= threshold]
-        w_accuracy = cfg.knobs.w_accuracy
+        w_accuracy = cfg.w_accuracy
         scores: dict[Pair, float] = {}
         top, best = -math.inf, None
         for model in sorted(valid or profiled):

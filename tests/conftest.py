@@ -24,7 +24,7 @@ from odsched.confidence_graph import (
     build_cograph,
     normalize_invert,
 )
-from odsched.scheduler import Knobs, SchedulerConfig, SchedulerState
+from odsched.scheduler import SchedulerConfig, SchedulerState
 from odsched.sim import ModelBehavior, Scenario, Segment, demo_scenario, gen_trace
 
 
@@ -102,7 +102,7 @@ def make_pm(
     )
 
 
-def two_model_setup(threshold=0.25, knobs=Knobs(1.0, 0.0, 0.0), accs=None):
+def two_model_setup(threshold=0.25, weights=(1.0, 0.0, 0.0), accs=None):
     """Model a on cpu and gpu, b on gpu only; a predicted at .7, b at .5."""
     cat = make_catalog(
         [
@@ -112,7 +112,7 @@ def two_model_setup(threshold=0.25, knobs=Knobs(1.0, 0.0, 0.0), accs=None):
         ]
     )
     pm = make_pm(accs or {"a": 0.7, "b": 0.5})
-    cfg = SchedulerConfig(knobs=knobs, accuracy_threshold=threshold)
+    cfg = SchedulerConfig(*weights, accuracy_threshold=threshold)
     return cat, pm, SchedulerState(cat, pm, cfg)
 
 
@@ -130,7 +130,7 @@ def evicting_case() -> tuple[Scenario, Catalog, SchedulerConfig]:
          for m, (t, e) in loads.items()],
         capacities={"gpu": 20},
     )
-    config = SchedulerConfig(knobs=Knobs(1, 0, 0), momentum=3)
+    config = SchedulerConfig(w_accuracy=1, w_energy=0, w_latency=0, momentum=3)
     return Scenario(segments, width=16, height=16), catalog, config
 
 

@@ -42,7 +42,7 @@ from odsched.confidence_graph import (
 from odsched.context import FrameStats, LastPatch, bbox_similarity, ncc_cached
 from odsched.images import GrayscaleImage
 from odsched.loader import LoadOutcome
-from odsched.scheduler import Decision, Knobs, NormalizedCosts, SchedulerConfig
+from odsched.scheduler import Decision, NormalizedCosts, SchedulerConfig
 from odsched.sim import (
     DEFAULT_OVERHEAD_S,
     SUCCESS_IOU,
@@ -119,17 +119,19 @@ def score_candidates(
     averages: Mapping[ModelId, float],
     valid: set[ModelId],
     costs: NormalizedCosts,
-    knobs: Knobs,
+    weights: tuple[float, float, float],
 ) -> dict[Pair, float]:
-    """Score each valid model's pairs, in the (sorted) pair order of `costs`."""
+    """Score each valid model's pairs, in the (sorted) pair order of `costs`,
+    under the weights (w_accuracy, w_energy, w_latency)."""
+    w_accuracy, w_energy, w_latency = weights
     scores: dict[Pair, float] = {}
     for pair, energy in costs.energy_score.items():
         model = pair[0]
         if model in valid and model in averages:
             scores[pair] = (
-                averages[model] * knobs.w_accuracy
-                + energy * knobs.w_energy
-                + costs.latency_score[pair] * knobs.w_latency
+                averages[model] * w_accuracy
+                + energy * w_energy
+                + costs.latency_score[pair] * w_latency
             )
     return scores
 
@@ -180,7 +182,9 @@ class NaiveScheduler:
         # profiled pair and meet the threshold, or all of them when none does.
         profiled = {m: r for m, r in averages.items() if m in self.profiled}
         valid = valid_set(profiled, cfg.accuracy_threshold)
-        scores = score_candidates(averages, valid, self.costs, cfg.knobs)
+        scores = score_candidates(
+            averages, valid, self.costs, (cfg.w_accuracy, cfg.w_energy, cfg.w_latency)
+        )
         fallback = all(r < cfg.accuracy_threshold for r in profiled.values())
         return Decision(best_pair(scores), True, s, scores, predictions, fallback)
 

@@ -32,7 +32,6 @@ from odsched.confidence_graph import (
 from odsched.images import GrayscaleImage
 from odsched.loader import AcceleratorMemory
 from odsched.scheduler import (
-    Knobs,
     SchedulerConfig,
     SchedulerState,
     normalize_costs,
@@ -139,18 +138,18 @@ def test_criterion_03_scheduling_conformance():
     assert not d.rescheduled and d.pair == first.pair and d.scores == {}
 
     # valid-set filter: threshold 0.6 admits only a (R = .7 vs .5)
-    _, _, state = two_model_setup(threshold=0.6, knobs=Knobs(1, 1, 1))
+    _, _, state = two_model_setup(threshold=0.6, weights=(1, 1, 1))
     d = schedule(state, ("a", "gpu"), 0.1)
     assert d.pair[0] == "a" and all(p[0] == "a" for p in d.scores)
 
     # empty-valid-set fallback: nobody meets 0.9, all models scored
-    _, _, state = two_model_setup(threshold=0.9, knobs=Knobs(0, 1, 1))
+    _, _, state = two_model_setup(threshold=0.9, weights=(0, 1, 1))
     d = schedule(state, ("a", "gpu"), 0.1)
     assert set(d.scores) == {("a", "cpu"), ("a", "gpu"), ("b", "gpu")}
     assert d.pair == ("b", "gpu")
 
     # argmax selection with hand-computed scores
-    _, _, state = two_model_setup(knobs=Knobs(1, 0, 0))
+    _, _, state = two_model_setup(weights=(1, 0, 0))
     d = schedule(state, ("a", "gpu"), 0.1)
     assert d.scores[("a", "cpu")] == pytest.approx(0.7)
     assert d.scores[("b", "gpu")] == pytest.approx(0.5)
@@ -161,8 +160,8 @@ def test_criterion_03_scheduling_conformance():
     # predicts the random averages.  Momentum 1 keeps them as they are, and
     # no average reaches threshold 1, so every model is valid (the fallback)
     # and a frame-less call cannot keep its pair.
-    def full_pass(cat, averages, knobs):
-        config = SchedulerConfig(knobs=knobs, accuracy_threshold=1.0, momentum=1)
+    def full_pass(cat, averages, weights):
+        config = SchedulerConfig(*weights, accuracy_threshold=1.0, momentum=1)
         state = SchedulerState(cat, make_pm(averages), config)
         return schedule(state, (min(averages), "gpu"), 0.0).pair
 
@@ -185,28 +184,28 @@ def test_criterion_03_scheduling_conformance():
         averages = {m: float(rng.uniform(0, 1)) for m in models}
         valid = valid_set(averages, 1.0)  # every model, as in the full pass
 
-        knobs = Knobs(*(float(rng.uniform(0.01, 2.0)) for _ in range(3)))
+        weights = tuple(float(rng.uniform(0.01, 2.0)) for _ in range(3))
         lam = float(rng.uniform(0.1, 10.0))
-        scaled = Knobs(knobs.w_accuracy * lam, knobs.w_energy * lam, knobs.w_latency * lam)
-        assert best_pair(score_candidates(averages, valid, costs, knobs)) == best_pair(
+        scaled = tuple(w * lam for w in weights)
+        assert best_pair(score_candidates(averages, valid, costs, weights)) == best_pair(
             score_candidates(averages, valid, costs, scaled)
         )
 
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 1, 0)))
+        chosen = best_pair(score_candidates(averages, valid, costs, (0, 1, 0)))
         assert costs.energy_score[chosen] == max(costs.energy_score.values())
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 0, 1)))
+        chosen = best_pair(score_candidates(averages, valid, costs, (0, 0, 1)))
         assert costs.latency_score[chosen] == max(costs.latency_score.values())
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(1, 0, 0)))
+        chosen = best_pair(score_candidates(averages, valid, costs, (1, 0, 0)))
         assert averages[chosen[0]] == max(averages.values())
 
-        reference = best_pair(score_candidates(averages, valid, costs, knobs))
-        assert full_pass(cat, averages, knobs) == reference
+        reference = best_pair(score_candidates(averages, valid, costs, weights))
+        assert full_pass(cat, averages, weights) == reference
         assert full_pass(cat, averages, scaled) == reference
-        chosen = full_pass(cat, averages, Knobs(0, 1, 0))
+        chosen = full_pass(cat, averages, (0, 1, 0))
         assert costs.energy_score[chosen] == max(costs.energy_score.values())
-        chosen = full_pass(cat, averages, Knobs(0, 0, 1))
+        chosen = full_pass(cat, averages, (0, 0, 1))
         assert costs.latency_score[chosen] == max(costs.latency_score.values())
-        chosen = full_pass(cat, averages, Knobs(1, 0, 0))
+        chosen = full_pass(cat, averages, (1, 0, 0))
         assert averages[chosen[0]] == max(averages.values())
     _passed(3, "4 branch fixtures + 1000 randomized states, reference and full pass")
 

@@ -39,7 +39,7 @@ from odsched.confidence_graph import (
 )
 from odsched.errors import ValidationError, _json_number, json_float
 from odsched.images import GrayscaleImage, encode_inline
-from odsched.scheduler import Knobs
+from odsched.scheduler import SchedulerConfig
 from odsched.sim import ModelBehavior, gen_trace, scenario_from_dict
 from test_scheduler import _bootstrap_pm, _frameless_streams, make_pm
 
@@ -203,6 +203,8 @@ def test_wrong_json_type_raises_validation_error_or_decodes(kind, path, tmp_path
          r"^prediction map: distance_threshold: must be a number, got True$"),
         ("prediction map", ("nodes", 0, "samples"), 1.9,
          r"^nodes\[0\]: samples: must be an integer, got 1.9$"),
+        ("prediction map", ("nodes", 0, "samples"), 0, r"^nodes\[0\]: samples 0 must be >= 1$"),
+        ("prediction map", ("nodes", 0, "samples"), -1, r"^nodes\[0\]: samples -1 must be >= 1$"),
         ("prediction map", ("nodes", 0, "bucket"), 1.5,
          r"^nodes\[0\]: bucket: must be an integer, got 1.5$"),
         ("prediction map", ("arcs", 0, "from", 1), 1.5,
@@ -378,7 +380,8 @@ def _profile(**values) -> ModelProfile:
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Knobs(10**400, 1, 1), r"^w_accuracy must be finite and non-negative, got 10{400}$"),
+        (lambda: SchedulerConfig(w_accuracy=10**400),
+         r"^w_accuracy must be finite and non-negative, got 10{400}$"),
         (lambda: _profile(avg_latency_s=10**400),
          r"^profile \(a, gpu\): avg_latency_s must be finite and > 0$"),
         (lambda: _profile(memory_bytes=10**400),
@@ -387,7 +390,7 @@ def _profile(**values) -> ModelProfile:
          r"^energy_tolerance must be finite and > 0$"),
         (lambda: ModelBehavior(0.5, 10**400, 0.5, 0.1), r"^conf_sigma must be finite and >= 0$"),
     ],
-    ids=["Knobs", "ModelProfile-latency", "ModelProfile-memory", "Catalog", "ModelBehavior"],
+    ids=["SchedulerConfig", "ModelProfile-latency", "ModelProfile-memory", "Catalog", "ModelBehavior"],
 )
 def test_an_int_too_large_for_a_float_breaks_the_constructor_rule(build, message):
     with pytest.raises(ValueError, match=message):

@@ -129,5 +129,4 @@ def test_sweep_outputs_are_pinned(tmp_path, trace_file):
 def test_flagless_simulate_config_is_the_library_default(tmp_path, trace_file):
     report, _, _ = _simulate(tmp_path, trace_file)
     defaults = dataclasses.asdict(SchedulerConfig())
-    defaults.update(defaults.pop("knobs"))
     assert json.loads(report.read_text())["config"] == defaults

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import odsched
 from conftest import SCENARIOS, evicting_case
 from odsched.catalog import Catalog, builtin_catalog
-from odsched.scheduler import Knobs, SchedulerConfig
+from odsched.scheduler import SchedulerConfig
 from odsched.sim import (
     DEFAULT_OVERHEAD_S,
     PARAM_ORDER,
@@ -32,8 +32,8 @@ from reference import replay
 _UNIT = st.floats(0.0, 1.0)
 _WEIGHT = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.floats(0.01, 2.0))
 _CONFIGS = st.builds(
-    SchedulerConfig,
-    knobs=st.tuples(_WEIGHT, _WEIGHT, _WEIGHT).filter(any).map(lambda w: Knobs(*w)),
+    lambda weights, **rest: SchedulerConfig(*weights, **rest),
+    st.tuples(_WEIGHT, _WEIGHT, _WEIGHT).filter(any),
     accuracy_threshold=st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), _UNIT),
     momentum=st.integers(1, 5) | st.just(30),
     distance_threshold=st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 2.0),
@@ -77,7 +77,7 @@ def _grids(draw) -> dict:
     """One or two parameters, each swept over the values of two configs."""
     a, b = draw(_CONFIGS).params(), draw(_CONFIGS).params()
     names = draw(st.sets(st.sampled_from(PARAM_ORDER), min_size=1, max_size=2))
-    # At most two: with two knobs swept to 0, the third keeps its positive
+    # At most two: with two weights swept to 0, the third keeps its positive
     # default, so every combination is a valid config.
     return {name: sorted({a[name], b[name]}) for name in sorted(names)}
 
@@ -143,6 +143,7 @@ _REMOVED = {
     "valid_set": "scheduler",
     "score_candidates": "scheduler",
     "best_pair": "scheduler",
+    "Knobs": "scheduler",
 }
 
 

@@ -22,13 +22,13 @@ from odsched.confidence_graph import GraphNode, Prediction, PredictionMap
 from odsched.images import GrayscaleImage
 from odsched.scheduler import (
     Decision,
-    Knobs,
     SchedulerConfig,
     SchedulerState,
     normalize_costs,
     schedule,
     update_momentum,
 )
+from odsched.sim import PARAM_ORDER
 from reference import NaiveScheduler, best_pair, score_candidates, similarity, valid_set
 
 
@@ -38,25 +38,22 @@ def _image(seed: int, size: int = 32) -> GrayscaleImage:
 
 
 # ---------------------------------------------------------------------------
-# knobs / config validation
-
-
-def test_knobs_validation():
-    with pytest.raises(ValueError, match="non-negative"):
-        Knobs(-0.1, 0.5, 0.5)
-    with pytest.raises(ValueError, match="positive"):
-        Knobs(0.0, 0.0, 0.0)
-    Knobs(0.0, 0.0, 1.0)  # one positive axis is enough
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="^w_accuracy must be finite"):
-            Knobs(w_accuracy=bad)
-        with pytest.raises(ValueError, match="^w_energy must be finite"):
-            Knobs(w_energy=bad)
-        with pytest.raises(ValueError, match="^w_latency must be finite"):
-            Knobs(w_latency=bad)
+# config validation
 
 
 def test_config_validation():
+    with pytest.raises(ValueError, match="non-negative"):
+        SchedulerConfig(w_accuracy=-0.1)
+    with pytest.raises(ValueError, match="positive"):
+        SchedulerConfig(w_accuracy=0.0, w_energy=0.0, w_latency=0.0)
+    SchedulerConfig(w_accuracy=0.0, w_energy=0.0, w_latency=1.0)  # one positive axis is enough
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^w_accuracy must be finite"):
+            SchedulerConfig(w_accuracy=bad)
+        with pytest.raises(ValueError, match="^w_energy must be finite"):
+            SchedulerConfig(w_energy=bad)
+        with pytest.raises(ValueError, match="^w_latency must be finite"):
+            SchedulerConfig(w_latency=bad)
     with pytest.raises(ValueError):
         SchedulerConfig(accuracy_threshold=1.5)
     with pytest.raises(ValueError):
@@ -90,7 +87,7 @@ def test_config_validation():
     assert cfg.momentum == 30
     assert cfg.accuracy_threshold == 0.25
     assert cfg.distance_threshold == 0.5
-    assert (cfg.knobs.w_accuracy, cfg.knobs.w_energy, cfg.knobs.w_latency) == (1.0, 0.5, 0.5)
+    assert (cfg.w_accuracy, cfg.w_energy, cfg.w_latency) == (1.0, 0.5, 0.5)
 
 
 def test_config_rejects_values_the_run_cannot_hold():
@@ -100,8 +97,30 @@ def test_config_rejects_values_the_run_cannot_hold():
         SchedulerConfig(momentum=2**63)
     with pytest.raises(ValueError, match="^momentum 0 must be >= 1$"):
         SchedulerConfig(momentum=0)
+    # A deque's maxlen must be an int: a float or a bool fails here, not at
+    # the run's bootstrap, and a numpy int is an int.
+    for bad in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"^momentum {bad!r} must be an integer$"):
+            SchedulerConfig(momentum=bad)
+    assert SchedulerConfig(momentum=np.int64(3)).momentum == 3
     with pytest.raises(ValueError, match="^bucket_width 5e-324 too narrow: 1 / width overflows$"):
         SchedulerConfig(bucket_width=5e-324)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.builds(
+        lambda weights, **rest: SchedulerConfig(*weights, **rest),
+        st.tuples(*[st.floats(0.0, sys.float_info.max)] * 3).filter(any),
+        accuracy_threshold=st.floats(0.0, 1.0),
+        momentum=st.integers(1, sys.maxsize),
+        distance_threshold=st.floats(0.0, sys.float_info.max),
+        bucket_width=st.floats(1e-300, 1.0),
+    )
+)
+def test_params_round_trip_in_sweep_order(cfg):
+    assert tuple(cfg.params()) == PARAM_ORDER
+    assert SchedulerConfig.from_params(cfg.params()) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +269,16 @@ def test_argmax_with_accuracy_knob_only():
 
 def test_valid_set_filter_excludes_low_models():
     # b's pair is far cheaper, but b misses the 0.6 threshold
-    _, _, state = two_model_setup(threshold=0.6, knobs=Knobs(1.0, 1.0, 1.0))
+    _, _, state = two_model_setup(threshold=0.6, weights=(1.0, 1.0, 1.0))
     d = schedule(state, ("a", "gpu"), 0.1)
     assert d.pair[0] == "a"
     assert all(pair[0] == "a" for pair in d.scores)
 
 
 def test_empty_valid_set_falls_back_to_all():
-    _, _, state = two_model_setup(threshold=0.9, knobs=Knobs(0.0, 1.0, 1.0))
+    _, _, state = two_model_setup(threshold=0.9, weights=(0.0, 1.0, 1.0))
     d = schedule(state, ("a", "gpu"), 0.1)
-    # nobody meets 0.9; with pure cost knobs the cheap b pair wins
+    # nobody meets 0.9; with pure cost weights the cheap b pair wins
     assert set(d.scores) == {("a", "cpu"), ("a", "gpu"), ("b", "gpu")}
     assert d.pair == ("b", "gpu")
 
@@ -271,7 +290,7 @@ def test_qualifier_without_profiled_pair_falls_back_to_every_profiled_model():
         [make_profile("a", "gpu", 0.10, 10.0), make_profile("b", "gpu", 0.01, 10.0)]
     )
     pm = make_pm({"a": 0.3, "b": 0.2, "c": 0.9})
-    cfg = SchedulerConfig(knobs=Knobs(1.0, 0.0, 0.0), accuracy_threshold=0.5)
+    cfg = SchedulerConfig(w_accuracy=1.0, w_energy=0.0, w_latency=0.0, accuracy_threshold=0.5)
     d = schedule(SchedulerState(cat, pm, cfg), ("b", "gpu"), 0.1)
     assert set(d.scores) == {("a", "gpu"), ("b", "gpu")}
     assert d.pair == ("a", "gpu")
@@ -320,7 +339,7 @@ def test_schedule_rejects_bad_confidence():
 
 def test_decision_deterministic_across_fresh_states():
     def run_once() -> Decision:
-        _, _, state = two_model_setup(knobs=Knobs(1.0, 0.5, 0.5))
+        _, _, state = two_model_setup(weights=(1.0, 0.5, 0.5))
         schedule(state, ("a", "gpu"), 0.4, _image(2), BoundingBox(1, 1, 9, 9))
         return schedule(state, ("a", "gpu"), 0.4, _image(3), BoundingBox(1, 1, 9, 9))
 
@@ -600,7 +619,7 @@ def _context_streams(draw):
 @given(_context_streams())
 def test_schedule_matches_naive_on_context_streams(stream):
     threshold, calls, memo_kind, warm_threshold = stream
-    cat, pm, state = two_model_setup(threshold=threshold, knobs=Knobs(1.0, 0.5, 0.5))
+    cat, pm, state = two_model_setup(threshold=threshold, weights=(1.0, 0.5, 0.5))
     cfg = state.config
     state.memo = None if memo_kind == "none" else {}
     if memo_kind == "shared":
@@ -634,7 +653,9 @@ def test_bootstrap_seeds_from_top_bucket_and_scores():
     cat = make_catalog(
         [make_profile("a", "gpu", 0.10, 10.0), make_profile("b", "gpu", 0.01, 10.0)]
     )
-    state = SchedulerState(cat, _bootstrap_pm(), SchedulerConfig(knobs=Knobs(1.0, 0.0, 0.0)))
+    state = SchedulerState(
+        cat, _bootstrap_pm(), SchedulerConfig(w_accuracy=1.0, w_energy=0.0, w_latency=0.0)
+    )
     d = state.bootstrap()
     assert d.rescheduled and d.similarity == 0.0
     # seeds: a -> 0.75 (top bucket 8), b -> 0.5
@@ -677,11 +698,11 @@ def test_argmax_scale_invariance_randomized():
     for _ in range(200):
         cat, averages = _random_problem(rng)
         costs = normalize_costs(cat)
-        knobs = Knobs(*(float(rng.uniform(0.01, 2.0)) for _ in range(3)))
+        weights = tuple(float(rng.uniform(0.01, 2.0)) for _ in range(3))
         lam = float(rng.uniform(0.1, 10.0))
-        scaled = Knobs(knobs.w_accuracy * lam, knobs.w_energy * lam, knobs.w_latency * lam)
+        scaled = tuple(w * lam for w in weights)
         valid = set(averages)
-        base = best_pair(score_candidates(averages, valid, costs, knobs))
+        base = best_pair(score_candidates(averages, valid, costs, weights))
         assert base == best_pair(score_candidates(averages, valid, costs, scaled))
 
 
@@ -692,13 +713,13 @@ def test_knob_axis_dominance_randomized():
         costs = normalize_costs(cat)
         valid = set(averages)
 
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 1, 0)))
+        chosen = best_pair(score_candidates(averages, valid, costs, (0, 1, 0)))
         assert costs.energy_score[chosen] == max(costs.energy_score.values())
 
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(0, 0, 1)))
+        chosen = best_pair(score_candidates(averages, valid, costs, (0, 0, 1)))
         assert costs.latency_score[chosen] == max(costs.latency_score.values())
 
-        chosen = best_pair(score_candidates(averages, valid, costs, Knobs(1, 0, 0)))
+        chosen = best_pair(score_candidates(averages, valid, costs, (1, 0, 0)))
         assert averages[chosen[0]] == max(averages.values())
 
 
@@ -714,17 +735,18 @@ def test_best_pair_matches_keyed_min(scores):
     assert best_pair(scores) == min(scores, key=lambda p: (-scores[p], p))
 
 
-def _score_sorted_pairs(averages, valid, costs, knobs, catalog):
+def _score_sorted_pairs(averages, valid, costs, weights, catalog):
     """Scoring as a loop over the catalog's sorted pairs."""
+    w_accuracy, w_energy, w_latency = weights
     scores = {}
     for pair in catalog.profiled_pairs():
         model = pair[0]
         if model not in valid or model not in averages:
             continue
         scores[pair] = (
-            averages[model] * knobs.w_accuracy
-            + costs.energy_score[pair] * knobs.w_energy
-            + costs.latency_score[pair] * knobs.w_latency
+            averages[model] * w_accuracy
+            + costs.energy_score[pair] * w_energy
+            + costs.latency_score[pair] * w_latency
         )
     return scores
 
@@ -734,11 +756,11 @@ def test_score_candidates_matches_sorted_pair_loop():
     for _ in range(200):
         cat, averages = _random_problem(rng)
         costs = normalize_costs(cat)
-        knobs = Knobs(*(float(rng.choice([0.0, 0.3, 1.0, 2.5])) for _ in range(2)), 0.7)
+        weights = (*(float(rng.choice([0.0, 0.3, 1.0, 2.5])) for _ in range(2)), 0.7)
         # Valid sets may name models with no average, and may be empty.
         valid = {m for m in [*averages, "zz"] if rng.uniform() < 0.6}
-        got = score_candidates(averages, valid, costs, knobs)
-        want = _score_sorted_pairs(averages, valid, costs, knobs, cat)
+        got = score_candidates(averages, valid, costs, weights)
+        want = _score_sorted_pairs(averages, valid, costs, weights, cat)
         assert list(got.items()) == list(want.items())
 
 
@@ -747,9 +769,9 @@ def test_score_candidates_matches_sorted_pair_loop():
     [
         SchedulerConfig(),
         SchedulerConfig(
-            knobs=Knobs(0.5, 1.5, 0.25), accuracy_threshold=0.8, momentum=5
+            w_accuracy=0.5, w_energy=1.5, w_latency=0.25, accuracy_threshold=0.8, momentum=5
         ),
-        SchedulerConfig(knobs=Knobs(2.0, 0.0, 0.0), distance_threshold=0.2),
+        SchedulerConfig(w_accuracy=2.0, w_energy=0.0, w_latency=0.0, distance_threshold=0.2),
     ],
 )
 def test_schedule_matches_naive_reimplementation(builtin, demo_trace, config):
@@ -820,9 +842,9 @@ def _streams(draw):
         image = images[draw(st.integers(0, 1))] if with_frames else None
         frames.append(FrameRecord(i, per_model, frame=image))
 
-    knobs = draw(st.tuples(*[st.sampled_from((0.0, 0.5, 1.0, 2.0))] * 3))
+    weights = draw(st.tuples(*[st.sampled_from((0.0, 0.5, 1.0, 2.0))] * 3))
     config = SchedulerConfig(
-        knobs=Knobs(*knobs) if any(knobs) else Knobs(),
+        *(weights if any(weights) else (1.0, 0.5, 0.5)),
         accuracy_threshold=draw(_UNIT),
         momentum=draw(st.integers(1, 4)),
         distance_threshold=draw(st.sampled_from((0.0, 0.3, 1.0))),
@@ -876,9 +898,9 @@ def _frameless_streams(draw):
             )
     pm = PredictionMap(width, 0.5, nodes, {}, entries)
     weight = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.01, 2.0))
-    knobs = draw(st.tuples(weight, weight, weight))
+    weights = draw(st.tuples(weight, weight, weight))
     config = SchedulerConfig(
-        knobs=Knobs(*knobs) if any(knobs) else Knobs(),
+        *(weights if any(weights) else (1.0, 0.5, 0.5)),
         # 1.0 forces the fallback unless an average is exactly 1.  A positive
         # threshold makes every frameless call a full pass.
         accuracy_threshold=draw(st.one_of(st.sampled_from((0.5, 1.0)), st.floats(0.01, 1.0))),
@@ -912,9 +934,9 @@ def test_valid_set_soundness_randomized():
         cat, averages = _random_problem(rng)
         costs = normalize_costs(cat)
         threshold = float(rng.uniform(0, 1))
-        knobs = Knobs(*(float(rng.uniform(0.01, 2)) for _ in range(3)))
+        weights = tuple(float(rng.uniform(0.01, 2)) for _ in range(3))
         valid = valid_set(averages, threshold)
-        chosen = best_pair(score_candidates(averages, valid, costs, knobs))
+        chosen = best_pair(score_candidates(averages, valid, costs, weights))
         if max(averages.values()) >= threshold:
             assert averages[chosen[0]] >= threshold
 

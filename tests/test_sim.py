@@ -24,7 +24,7 @@ from odsched.catalog import (
 from odsched.errors import ScenarioError, TraceError, ValidationError
 from odsched.images import GrayscaleImage
 from odsched.loader import AcceleratorMemory
-from odsched.scheduler import Knobs, SchedulerConfig
+from odsched.scheduler import SchedulerConfig
 from odsched.sim import (
     FrameResult,
     Policy,
@@ -121,7 +121,9 @@ def test_shift_report_self_consistent(builtin, demo_trace):
 
 def test_shift_accepts_stock_default_configuration(builtin, demo_trace):
     cfg = SchedulerConfig(
-        knobs=Knobs(1.0, 0.5, 0.5),
+        w_accuracy=1.0,
+        w_energy=0.5,
+        w_latency=0.5,
         accuracy_threshold=0.25,
         momentum=30,
         distance_threshold=0.5,
@@ -367,7 +369,7 @@ def test_shift_uncharacterized_choice_scores_zero():
     cat = make_catalog(
         [make_profile("a", "gpu", 0.1, 10.0), make_profile("b", "gpu", 0.2, 10.0)]
     )
-    rep = run(trace, cat, Policy.shift(SchedulerConfig(knobs=Knobs(1, 0, 0))))
+    rep = run(trace, cat, Policy.shift(SchedulerConfig(w_accuracy=1, w_energy=0, w_latency=0)))
     assert rep.frames == 10  # completed despite partial coverage
 
 
