@@ -107,6 +107,8 @@ def read_pgm(path: str | Path) -> GrayscaleImage:
         width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     except ValueError as exc:
         raise ValueError(f"{path}: bad PGM header: {exc}") from exc
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: image dimensions must be positive, got {width}x{height}")
     if maxval < 1 or maxval > 255:
         raise ValueError(f"{path}: PGM maxval {maxval} unsupported (need <= 255)")
     pos += 1  # single whitespace byte after maxval

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Mapping
 
 from .catalog import BoundingBox, Catalog, ModelId, Pair
@@ -59,6 +59,12 @@ class SchedulerConfig:
     bucket_width: float = 0.1
 
     def __post_init__(self) -> None:
+        # A bool passes every numeric check below; the float parameters
+        # reject it, and momentum does so with its integer rule.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is float and isinstance(value, bool):
+                raise ValueError(f"{f.name} {value!r} must be a number, not a bool")
         # Each range check is written so that NaN fails it.
         weights = (self.w_accuracy, self.w_energy, self.w_latency)
         for name, w in zip(("w_accuracy", "w_energy", "w_latency"), weights):

@@ -147,6 +147,11 @@ class FrameResult:
     load_energy_j: float
 
 
+# A sweep's memo of charges: each pair sequence with the per-frame results
+# and aggregates that replaying it produced.
+_Charges = dict[tuple[Pair, ...], tuple[tuple[FrameResult, ...], dict]]
+
+
 @dataclass(frozen=True)
 class SimulationReport:
     policy: str
@@ -256,7 +261,7 @@ def run(
     """Replay the trace under `policy` and aggregate the report."""
     _check_overhead(trace, catalog, scheduler_overhead_s)
     return _run(
-        trace, catalog, policy, scheduler_overhead_s, prediction_map, prefill, None
+        trace, catalog, policy, scheduler_overhead_s, prediction_map, prefill, None, None
     )
 
 
@@ -297,7 +302,11 @@ def _run(
     prediction_map: PredictionMap | None,
     prefill: bool,
     memo: dict[tuple, float] | None,
+    charges: _Charges | None,
 ) -> SimulationReport:
+    """Decide every frame's pair under `policy`, then charge them.  A sweep
+    passes `charges`, its memo of what each pair sequence was charged, and
+    a sequence already in it is not charged again."""
     config = None
     if policy.kind == "shift":
         config = policy.config if policy.config is not None else SchedulerConfig()
@@ -331,24 +340,30 @@ def _run(
         objective = policy.kind.removeprefix("oracle_")
         pairs = [oracle_choose(fr, catalog, objective) for fr in trace.frames]
 
-    # Only shift pays the scheduling overhead.  Oracles assume every model
-    # preloaded and pay no loads.  Prefill applies to shift and single.
-    memories: dict[str, AcceleratorMemory] | None = None
-    if policy.kind in ("shift", "single"):
-        memories = {
-            name: AcceleratorMemory(name, catalog) for name in catalog.accelerators
-        }
-        if prefill:
-            for mem in memories.values():
-                mem.prefill(catalog.models)
-    charged_overhead_s = overhead_s if policy.kind == "shift" else 0.0
-    per_frame = _replay(trace, catalog, pairs, charged_overhead_s, memories)
-    agg = metrics(per_frame, catalog.gpu_accelerators())
+    key = None if charges is None else tuple(pairs)
+    charged = None if key is None else charges.get(key)
+    if charged is None:
+        # Only shift pays the scheduling overhead.  Oracles assume every
+        # model preloaded and pay no loads.  Prefill applies to shift and
+        # single.
+        memories: dict[str, AcceleratorMemory] | None = None
+        if policy.kind in ("shift", "single"):
+            memories = {
+                name: AcceleratorMemory(name, catalog) for name in catalog.accelerators
+            }
+            if prefill:
+                for mem in memories.values():
+                    mem.prefill(catalog.models)
+        charged_overhead_s = overhead_s if policy.kind == "shift" else 0.0
+        per_frame = _replay(trace, catalog, pairs, charged_overhead_s, memories)
+        charged = (tuple(per_frame), metrics(per_frame, catalog.gpu_accelerators()))
+        if key is not None:
+            charges[key] = charged
     return SimulationReport(
         policy=policy.describe(),
-        per_frame=tuple(per_frame),
+        per_frame=charged[0],
         config=config,
-        **agg,
+        **charged[1],
     )
 
 
@@ -427,8 +442,12 @@ def sweep(
     """One shift run per grid configuration, in deterministic order.
 
     Context similarity depends only on the frames and boxes compared, not on
-    the configuration, so every run shares one memo of it; the memo lives
-    only as long as this call.
+    the configuration, so every run shares one memo of it.  A run's charges
+    depend only on its pair sequence, since every run replays the same
+    trace, catalog and overhead from empty accelerator memories, so a
+    configuration whose pairs equal an earlier one's reuses that run's
+    per-frame results and aggregates; its report is still identical to a
+    standalone `run`.  Both memos live only as long as this call.
     """
     configs = expand_grid(grid)
     _check_overhead(trace, catalog, scheduler_overhead_s)
@@ -441,11 +460,13 @@ def sweep(
             maps[key] = build_prediction_map(trace, *key)
 
     memo: dict[tuple, float] = {}
+    charges: _Charges = {}
     results = []
     for cfg in configs:
         pm = maps[(cfg.bucket_width, cfg.distance_threshold)]
         report = _run(
-            trace, catalog, Policy.shift(cfg), scheduler_overhead_s, pm, False, memo
+            trace, catalog, Policy.shift(cfg), scheduler_overhead_s, pm, False,
+            memo, charges,
         )
         results.append((cfg, report))
     return results

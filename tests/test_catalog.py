@@ -458,11 +458,12 @@ def test_load_trace_wrong_json_type_names_line_and_field(
         (b"P5\n6x 4\n255\n" + bytes(24), "bad PGM header"),
         (b"P5\n2 2\n65535\n" + bytes(8), "PGM maxval 65535 unsupported"),
         (b"P5\n0 4\n255\n", "image dimensions must be positive"),
+        (b"P5\n-2 3\n255\n", "f.pgm: image dimensions must be positive, got -2x3"),
         ({"width": 0, "height": 8, "pixels_b64": ""}, "image dimensions must be positive"),
         (b"P5\n2 2\n15\n" + bytes([0, 200, 255, 3]), "f.pgm: PGM sample 255 exceeds maxval 15"),
     ],
-    ids=["truncated-header", "bad-integer", "maxval", "zero-width-pgm", "zero-width-inline",
-         "sample-above-maxval"],
+    ids=["truncated-header", "bad-integer", "maxval", "zero-width-pgm", "negative-width-pgm",
+         "zero-width-inline", "sample-above-maxval"],
 )
 def test_load_trace_bad_frame_image_names_line(tmp_path, two_model_catalog, image, message):
     if isinstance(image, bytes):

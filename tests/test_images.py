@@ -86,6 +86,17 @@ def test_pgm_truncated(tmp_path):
         read_pgm(p)
 
 
+@pytest.mark.parametrize("size", [b"0 5", b"5 0", b"-2 3", b"3 -2"])
+def test_pgm_non_positive_size_is_a_header_fault(tmp_path, size):
+    p = tmp_path / "s.pgm"
+    p.write_bytes(b"P5\n" + size + b"\n255\n" + bytes(16))
+    width, height = size.decode().split()
+    with pytest.raises(
+        ValueError, match=f"s.pgm: image dimensions must be positive, got {width}x{height}$"
+    ):
+        read_pgm(p)
+
+
 def test_pgm_samples_may_reach_but_not_exceed_maxval(tmp_path):
     p = tmp_path / "m.pgm"
     p.write_bytes(b"P5\n2 2\n15\n" + bytes([0, 15, 7, 3]))

@@ -105,6 +105,13 @@ def test_config_rejects_values_the_run_cannot_hold():
     assert SchedulerConfig(momentum=np.int64(3)).momentum == 3
     with pytest.raises(ValueError, match="^bucket_width 5e-324 too narrow: 1 / width overflows$"):
         SchedulerConfig(bucket_width=5e-324)
+    # A bool passes the range checks as 0 or 1, and a report would carry it
+    # as true or false; every float parameter rejects it.
+    for name in ("w_accuracy", "w_energy", "w_latency", "accuracy_threshold",
+                 "distance_threshold", "bucket_width"):
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=f"^{name} {bad} must be a number, not a bool$"):
+                SchedulerConfig(**{name: bad})
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

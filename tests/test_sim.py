@@ -593,6 +593,41 @@ def test_sweep_configs_match_standalone_run(builtin, demo_trace):
         assert rep.per_frame == direct.per_frame
 
 
+# Nine configurations that decide five distinct pair sequences on the demo
+# trace: some configurations share a sequence, and some decide their own.
+_MIXED_GRID = {"w_latency": [0.0, 0.5, 5.0], "accuracy_threshold": [0.1, 0.25, 0.9]}
+
+
+def _pair_sequence(report):
+    return tuple((f.model, f.accelerator) for f in report.per_frame)
+
+
+def test_sweep_charges_each_distinct_pair_sequence_once(builtin, demo_trace, monkeypatch):
+    replays, aggregates = [], []
+    for name, calls in (("_replay", replays), ("metrics", aggregates)):
+        real = getattr(sim, name)
+        monkeypatch.setattr(sim, name, lambda *a, c=calls, r=real: c.append(1) or r(*a))
+    # A second call on the same inputs charges everything again: the charges
+    # live only as long as one sweep.
+    for sweeps in (1, 2):
+        results = sweep(demo_trace, builtin, _MIXED_GRID)
+        distinct = {_pair_sequence(rep) for _, rep in results}
+        assert 1 < len(distinct) < len(results)
+        assert len(replays) == len(aggregates) == sweeps * len(distinct)
+
+
+def test_sweep_reports_sharing_charges_equal_standalone_runs(builtin, demo_trace):
+    results = sweep(demo_trace, builtin, _MIXED_GRID)
+    for cfg, rep in results:
+        direct = run(demo_trace, builtin, Policy.shift(cfg))
+        assert rep.config == cfg
+        assert rep.to_dict() == direct.to_dict()
+        assert rep.per_frame == direct.per_frame
+    # Reports that decided the same sequence share one charged result.
+    per_frame = {_pair_sequence(rep): rep.per_frame for _, rep in results}
+    assert all(rep.per_frame is per_frame[_pair_sequence(rep)] for _, rep in results)
+
+
 def test_sweep_computes_context_once_and_memoizes_floats(
     builtin, demo_trace, monkeypatch
 ):
